@@ -563,7 +563,7 @@ void RunIngestionComparison() {
     if (central.metrics().epochs_applied != epoch) std::abort();
   }
 
-  // --- Fleet stats shipping overhead: the snapshot-ship loop with a v5
+  // --- Fleet stats shipping overhead: the snapshot-ship loop with a
   // STATS_PUSH interleaved every 128 epochs on the session, paired against
   // a plain loop so both see identical machine conditions. Telemetry must
   // never tax the data path — the bench aborts past 1% throughput cost.
@@ -643,11 +643,12 @@ void RunIngestionComparison() {
   }
 
   // --- Central windowed estimates: the incrementally cached WindowedView
-  // vs the full re-merge FinalizedView, answering the same kind of query
-  // (finalized view + join estimate against a fixed sketch) on a central
-  // that has applied several epoch pushes. The cached path pays one lane
-  // copy + the estimate; the re-merge path pays shard merges + the k
-  // Hadamard transforms of a fresh finalize every query. ------------------
+  // vs a full re-merge of the lifetime view, answering the same kind of
+  // query (finalized view + join estimate against a fixed sketch) on a
+  // central that has applied several epoch pushes. The cached path pays one
+  // lane copy + the estimate; the re-merge path pays a PublishView (shard
+  // merges + the k Hadamard transforms of a fresh finalize) + the same copy
+  // every query. ---------------------------------------------------------
   double windowed_estimate_qps = 0.0;
   double view_cache_speedup = 0.0;
   {
@@ -678,19 +679,21 @@ void RunIngestionComparison() {
     const auto [cached_qps, remerge_qps] = MeasurePairedReportsPerSec(
         1,
         [&] {
-          const LdpJoinSketchServer view = central.WindowedFinalizedView();
+          const LdpJoinSketchServer view =
+              central.WindowedPublishedView()->sketch;
           benchmark::DoNotOptimize(view.JoinEstimate(estimate_against));
         },
         [&] {
-          const LdpJoinSketchServer view = central.FinalizedView();
+          central.server_mutable().PublishView();
+          const LdpJoinSketchServer view =
+              central.server().CurrentPublishedView()->sketch;
           benchmark::DoNotOptimize(view.JoinEstimate(estimate_against));
         });
     windowed_estimate_qps = cached_qps;
     view_cache_speedup = cached_qps / remerge_qps;
     // Sanity: the window really slid — 4 of 6 epochs in the view.
     if (central.window()->epochs_expired() != 2) std::abort();
-    if (central.WindowedFinalizedView().total_reports() !=
-        4 * epoch_reports) {
+    if (central.WindowedPublishedView()->reports() != 4 * epoch_reports) {
       std::abort();
     }
     if (!sender->Finish().ok()) std::abort();
@@ -699,10 +702,10 @@ void RunIngestionComparison() {
 
   // --- RCU published views: the steady-state read path must be one atomic
   // shared_ptr load — pointer-stable while the view is clean, cost
-  // independent of sketch size, and far cheaper than the compat Finalized()
-  // wrapper that copies the sketch. The old copy-on-read cache copied the
-  // whole k·m sketch under the writer mutex on EVERY call, so its cost
-  // scaled linearly with m; these aborts keep that regression out. --------
+  // independent of sketch size, and far cheaper than copying the published
+  // sketch out. The old copy-on-read cache copied the whole k·m sketch
+  // under the writer mutex on EVERY call, so its cost scaled linearly with
+  // m; these aborts keep that regression out. ----------------------------
   double published_reads_per_sec = 0.0;
   double published_vs_copy_speedup = 0.0;
   {
@@ -749,12 +752,12 @@ void RunIngestionComparison() {
     // even 8x (the copy-on-read path scaled ~16x here; an atomic load is
     // flat, so 8x is pure noise headroom).
     if (wide_rate * 8.0 < narrow_rate) std::abort();
-    // And the zero-copy path must beat the copying wrapper handily.
+    // And the zero-copy path must beat copying the sketch out handily.
     size_t copies = 0;
     const auto copy_start = Clock::now();
     double copy_elapsed = 0.0;
     do {
-      const LdpJoinSketchServer view = wide->Finalized();
+      const LdpJoinSketchServer view = wide->Published()->sketch;
       benchmark::DoNotOptimize(view.total_reports());
       ++copies;
       copy_elapsed = SecondsSince(copy_start);
@@ -764,7 +767,7 @@ void RunIngestionComparison() {
     if (published_vs_copy_speedup < 4.0) std::abort();
   }
 
-  // --- LJSP v3 QUERY serving: frequency queries answered from the
+  // --- LJSP QUERY serving: frequency queries answered from the
   // server's published view while a DATA session streams sustained ingest
   // the whole time — the concurrent-read-under-write shape the RCU
   // publication exists for. Measured at one client thread (per-query

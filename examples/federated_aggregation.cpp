@@ -125,7 +125,7 @@ int main() {
   // answered from the incrementally cached accumulator (expired epochs
   // were subtracted back out, bit-exactly) ------------------------------
   const WindowedView& window = *central.window();
-  const LdpJoinSketchServer windowed = central.WindowedFinalizedView();
+  const auto windowed = central.WindowedPublishedView();
   uint64_t merged_total = 0;
   for (const RegionMetrics& region : metrics.regions) {
     merged_total += region.reports_merged;
@@ -135,7 +135,7 @@ int main() {
               static_cast<unsigned long long>(window.frontier()),
               static_cast<unsigned long long>(window.epochs_in_window()),
               static_cast<unsigned long long>(window.epochs_expired()),
-              static_cast<unsigned long long>(windowed.total_reports()),
+              static_cast<unsigned long long>(windowed->reports()),
               static_cast<unsigned long long>(merged_total));
 
   central.Stop();

@@ -120,7 +120,7 @@ LdpJoinSketchServer RunProtocolOverWire(const Column& column,
     if (options.window_epochs > 0) {
       // The sliding-window estimate over the last W aligned epochs,
       // answered from the central's incrementally cached accumulator.
-      return central.WindowedFinalizedView();
+      return central.WindowedPublishedView()->sketch;
     }
     return central.Finalize();
   }

@@ -2,10 +2,9 @@
 // whose traffic is EPOCH_PUSH snapshots from RegionalNodes (it accepts
 // direct DATA sessions too — the tiers speak one protocol), with the
 // central-specific conveniences on top: wait-for-N-regions finalize
-// coordination, estimate-at-epoch-boundary views, and — when
-// `window_epochs` is set — a WindowedView answering sliding-window
-// estimates over the last W cross-region-aligned epochs from an
-// incrementally cached accumulator.
+// coordination, and — when `window_epochs` is set — a WindowedView
+// answering sliding-window estimates over the last W cross-region-aligned
+// epochs from an incrementally cached accumulator.
 //
 // Exactness: every regional snapshot is raw int64 lanes and every merge is
 // integer addition, so after all regions flush, Finalize() yields the
@@ -62,25 +61,10 @@ class CentralNode {
   /// region sends one as its flush completes).
   void WaitForRegions() { server_.WaitForFinalizeRequests(finalize_after_); }
 
-  /// A finalized copy of everything merged so far, without disturbing
-  /// collection — estimates at an epoch boundary while regions keep
-  /// streaming. Each view applies the global debias to its own copy, so
-  /// views are themselves exact for the reports they contain. Re-merges
-  /// every shard per call; for repeated windowed queries prefer
-  /// WindowedFinalizedView (cached).
-  LdpJoinSketchServer FinalizedView() const { return server_.FinalizedView(); }
-
-  /// Finalized sliding-window view over the last `window_epochs` aligned
-  /// epochs — the cached incremental path. Requires windowed(). Copies the
-  /// sketch; hot read paths should hold WindowedPublishedView() instead.
-  LdpJoinSketchServer WindowedFinalizedView() const {
-    LDPJS_CHECK(window_ != nullptr);
-    return window_->Finalized();
-  }
-
-  /// The latest RCU-published immutable window view — one atomic load, no
-  /// copy, no lock shared with ingest. This is also what QUERY frames are
-  /// answered from on a windowed central. Requires windowed().
+  /// The latest RCU-published immutable sliding-window view over the last
+  /// `window_epochs` aligned epochs — one atomic load, no copy, no lock
+  /// shared with ingest. This is also what QUERY frames are answered from
+  /// on a windowed central. Requires windowed().
   std::shared_ptr<const PublishedView> WindowedPublishedView() const {
     LDPJS_CHECK(window_ != nullptr);
     return window_->Published();

@@ -110,7 +110,7 @@ Result<ChaosScenarioResult> RunChaosScenario(
     result.frontier = central.window()->frontier();
   }
   result.epochs_expired = central.window()->epochs_expired();
-  result.windowed = central.WindowedFinalizedView().Serialize();
+  result.windowed = central.WindowedPublishedView()->sketch.Serialize();
 
   for (const auto& region : regions) {
     const NetMetrics m = region->metrics();

@@ -256,9 +256,6 @@ FleetSnapshot RegionalNode::BuildStatsSnapshotLocked() const {
 
 void RegionalNode::MaybePushStatsLocked(bool force) {
   if (!options_.push_stats || !upstream_) return;
-  // The version gate IS the interop story: against a v4-or-older central
-  // the session never carries a v5 frame, byte for byte.
-  if (upstream_->negotiated_version() < 5) return;
   const uint64_t now = NowNanos();
   const uint64_t period_ns =
       static_cast<uint64_t>(options_.stats_push_period_ms) * 1000000ull;

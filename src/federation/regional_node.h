@@ -78,11 +78,10 @@ struct RegionalNodeOptions {
   /// deployment's signal that this region's collection is complete.
   bool forward_finalize = false;
   /// Ship this node's full stats snapshot (counters, gauges, raw histogram
-  /// buckets) to the central as LJSP v5 STATS_PUSH after ship cycles, at
-  /// most once per stats_push_period_ms (plus a final push at flush).
-  /// Silently off against a v4-or-older central — the negotiated version
-  /// gates it, so old peers stay byte-untouched. A failed push is counted,
-  /// never fatal: telemetry must not interfere with data shipping.
+  /// buckets) to the central as STATS_PUSH after ship cycles, at most once
+  /// per stats_push_period_ms (plus a final push at flush). A failed push
+  /// is counted, never fatal: telemetry must not interfere with data
+  /// shipping.
   bool push_stats = true;
   int stats_push_period_ms = 1000;
 };
@@ -188,13 +187,13 @@ class RegionalNode {
   void SpoolMarkShippedLocked(const PendingSnapshot& snap)
       LDPJS_REQUIRES(ship_mu_);
 
-  /// This node's stats as a v5 fleet snapshot: the process-global registry
+  /// This node's stats as a fleet snapshot: the process-global registry
   /// plus the synthetic `net_*` series the central's health evaluator reads
   /// (SignalsFromSnapshot) — frame/shed/corrupt counters, the frontier
   /// epoch, and the pending-queue depth.
   FleetSnapshot BuildStatsSnapshotLocked() const LDPJS_REQUIRES(ship_mu_);
-  /// Pushes the snapshot upstream when the session is v5, push_stats is on,
-  /// and the period elapsed (or `force`). A failure drops the upstream
+  /// Pushes the snapshot upstream when there is a session, push_stats is
+  /// on, and the period elapsed (or `force`). A failure drops the upstream
   /// session (its state is ambiguous) and counts stats_push_failures_ —
   /// data shipping reconnects and is unaffected.
   void MaybePushStatsLocked(bool force) LDPJS_REQUIRES(ship_mu_);

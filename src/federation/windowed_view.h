@@ -2,8 +2,8 @@
 // the federated topology, with cross-region epoch alignment and an
 // incrementally cached finalized view.
 //
-// The central's full-history FinalizedView() answers "the join size over
-// everything ever ingested" and re-merges every shard on every query. This
+// The central's full-history published view answers "the join size over
+// everything ever ingested" and re-merges every shard at every publish. This
 // class answers "the join size over the last W epochs" — and does it
 // incrementally, exploiting the same linearity that makes the whole
 // topology exact: raw int64 lanes can be *subtracted* as exactly as they
@@ -87,12 +87,6 @@ class WindowedView {
   std::shared_ptr<const PublishedView> Published() const {
     return publisher_.Current();
   }
-
-  /// Finalized copy of the window accumulator — the sketch to estimate
-  /// with. Compatibility wrapper over Published(): still lock-free (the
-  /// writer publishes at every change), but copies the sketch — hot read
-  /// paths should hold Published() instead.
-  LdpJoinSketchServer Finalized() const { return Published()->sketch; }
 
   /// Raw-lane copy of the window accumulator (un-finalized; tests merge /
   /// compare it).

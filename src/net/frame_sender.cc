@@ -37,7 +37,6 @@ Result<FrameSender> FrameSender::Connect(const std::string& host,
   }
 
   SessionHello hello;
-  hello.version = options.announce_version;
   hello.k = static_cast<uint32_t>(params.k);
   hello.m = static_cast<uint32_t>(params.m);
   hello.seed = params.seed;
@@ -55,16 +54,9 @@ Result<FrameSender> FrameSender::Connect(const std::string& host,
   if (reply->type != NetFrameType::kHelloOk) {
     return Status::Corruption("expected HELLO_OK from server");
   }
+  // DecodeHelloOk refuses a server of another protocol version.
   auto session = DecodeHelloOk(reply->payload);
   if (!session.ok()) return session.status();
-  // The server answers with the negotiated session version — the minimum
-  // of the two sides — so it can never exceed what we announced or fall
-  // below the oldest version this build still speaks.
-  if (session->version < kNetMinVersion ||
-      session->version > options.announce_version) {
-    return Status::FailedPrecondition("server negotiated LJSP version " +
-                                      std::to_string(session->version));
-  }
   return FrameSender(std::move(*socket), *session, options);
 }
 
@@ -84,24 +76,15 @@ Result<NetFrame> FrameSender::ReadReply() {
 
 Status FrameSender::SendEncodedBatch(std::span<const uint8_t> envelope) {
   TraceContext trace;
-  if (options_.trace_every > 0 && session_.version >= 4 &&
-      batches_sent_ % options_.trace_every == 0) {
+  if (options_.trace_every > 0 && batches_sent_ % options_.trace_every == 0) {
     trace.trace_id = NextTraceId();
     trace.origin_ns = NowNanos();
   }
-  return SendBatchInternal(envelope, trace);
+  return SendTracedBatch(envelope, trace);
 }
 
 Status FrameSender::SendTracedBatch(std::span<const uint8_t> envelope,
                                     const TraceContext& trace) {
-  // Below v4 the server would reject a TRACED frame; drop the trace, keep
-  // the bytes — tracing is telemetry, never a delivery requirement.
-  if (session_.version < 4) return SendBatchInternal(envelope, TraceContext{});
-  return SendBatchInternal(envelope, trace);
-}
-
-Status FrameSender::SendBatchInternal(std::span<const uint8_t> envelope,
-                                      const TraceContext& trace) {
   LDPJS_CHECK(!finished_);
   ++batches_sent_;
   std::vector<uint8_t> wrapped;
@@ -184,7 +167,7 @@ Result<EpochPushAck> FrameSender::PushEpochSnapshotTraced(
   LDPJS_CHECK(!finished_);
   std::vector<uint8_t> payload = EncodeEpochPush(region_id, epoch, raw_sketch);
   NetFrameType type = NetFrameType::kEpochPush;
-  if (trace.active() && session_.version >= 4) {
+  if (trace.active()) {
     // Origin preserved from the client that produced the traced batch — the
     // central's view publish then measures true client→central latency.
     payload = EncodeTraced(NetFrameType::kEpochPush, trace.trace_id,
@@ -204,11 +187,6 @@ Result<EpochPushAck> FrameSender::PushEpochSnapshotTraced(
 
 Result<std::string> FrameSender::Stats() {
   LDPJS_CHECK(!finished_);
-  if (session_.version < 4) {
-    return Status::FailedPrecondition(
-        "STATS requires LJSP v4; session negotiated v" +
-        std::to_string(session_.version));
-  }
   LDPJS_RETURN_IF_ERROR(
       WriteNetFrame(socket_, NetFrameType::kStatsRequest, {}));
   auto reply = ReadReply();
@@ -221,11 +199,6 @@ Result<std::string> FrameSender::Stats() {
 
 Status FrameSender::PushStats(const FleetSnapshot& snapshot) {
   LDPJS_CHECK(!finished_);
-  if (session_.version < 5) {
-    return Status::FailedPrecondition(
-        "STATS_PUSH requires LJSP v5; session negotiated v" +
-        std::to_string(session_.version));
-  }
   const std::vector<uint8_t> payload = EncodeFleetSnapshot(snapshot);
   LDPJS_RETURN_IF_ERROR(
       WriteNetFrame(socket_, NetFrameType::kStatsPush, payload));
@@ -241,11 +214,6 @@ Status FrameSender::PushStats(const FleetSnapshot& snapshot) {
 
 Result<FleetView> FrameSender::FleetStats() {
   LDPJS_CHECK(!finished_);
-  if (session_.version < 5) {
-    return Status::FailedPrecondition(
-        "FLEET_STATS requires LJSP v5; session negotiated v" +
-        std::to_string(session_.version));
-  }
   LDPJS_RETURN_IF_ERROR(
       WriteNetFrame(socket_, NetFrameType::kFleetStatsRequest, {}));
   auto reply = ReadReply();
@@ -269,11 +237,6 @@ Status FrameSender::Ping() {
 
 Result<QueryResponse> FrameSender::Query(const QueryRequest& request) {
   LDPJS_CHECK(!finished_);
-  if (session_.version < 3) {
-    return Status::FailedPrecondition(
-        "QUERY requires LJSP v3; session negotiated v" +
-        std::to_string(session_.version));
-  }
   const std::vector<uint8_t> payload = EncodeQueryRequest(request);
   if (payload.size() > kMaxQueryFramePayload) {
     // The server would refuse the frame from its length prefix alone and

@@ -1,7 +1,7 @@
 // FrameSender: client side of the LJSP session protocol. Connects to a
-// FrameServer, performs the HELLO handshake (sketch params must match the
-// server's bit for bit), then streams PerturbBatch output as LJSB batch
-// envelopes inside DATA frames.
+// FrameServer, performs the HELLO handshake (protocol version and sketch
+// params must match the server's bit for bit), then streams PerturbBatch
+// output as LJSB batch envelopes inside DATA frames.
 //
 // Flow control: against a kShed server every DATA frame is acked; a busy
 // ack makes SendReports/SendEncodedBatch retry the same frame after a
@@ -51,22 +51,16 @@ class FrameSender {
     /// restart/collision sync built on it.
     bool announce_region = false;
     uint32_t region_id = 0;
-    /// Protocol version announced in the HELLO. The session speaks the
-    /// minimum of this and the server's version (read it back with
-    /// negotiated_version()). Tests set 2 to exercise a v2 session against
-    /// a v3 server; real clients leave the default.
-    uint8_t announce_version = kNetVersion;
     /// Trace sampling: wrap every Nth DATA batch in a TRACED envelope
     /// (batch 0, N, 2N, ...) with a fresh trace id and an origin timestamp
-    /// taken just before the send. 0 (default) disables sampling. Ignored
-    /// on sessions that negotiated < v4 — the frames stay plain, so traced
-    /// senders interoperate with v3 servers untouched.
+    /// taken just before the send. 0 (default) disables sampling.
     uint64_t trace_every = 0;
   };
 
-  /// Connects and completes the handshake. Fails with the server's ERROR
-  /// status (e.g. FailedPrecondition on a params mismatch) or Unavailable
-  /// if the host is unreachable.
+  /// Connects and completes the handshake. Fails with FailedPrecondition
+  /// when the server refuses the session (params or protocol version
+  /// mismatch) or answers with another protocol version — retrying cannot
+  /// fix either — or Unavailable if the host is unreachable.
   static Result<FrameSender> Connect(const std::string& host, uint16_t port,
                                      const SketchParams& params,
                                      double epsilon, const Options& options);
@@ -92,9 +86,9 @@ class FrameSender {
 
   /// Streams one batch wrapped in a TRACED envelope with an explicit trace
   /// context — how a caller includes its own encode time in the origin
-  /// (stamp origin_ns before encoding). On a session below v4 the batch is
-  /// sent plain: the trace is dropped, never a protocol error, so the same
-  /// caller code runs against old servers.
+  /// (stamp origin_ns before encoding). An inactive context sends a bare
+  /// DATA frame. Runs the busy-retry protocol; a retried frame re-sends
+  /// the identical bytes.
   Status SendTracedBatch(std::span<const uint8_t> envelope,
                          const TraceContext& trace);
 
@@ -118,44 +112,38 @@ class FrameSender {
   /// PushEpochSnapshot with a trace context riding along (a regional
   /// shipper forwarding the context claimed at its epoch cut, origin
   /// preserved, so the central's publish measures client→central latency).
-  /// Below v4 the push goes out plain and the trace is dropped.
   Result<EpochPushAck> PushEpochSnapshotTraced(
       uint32_t region_id, uint64_t epoch, std::span<const uint8_t> raw_sketch,
       const TraceContext& trace);
 
   /// Ingest barrier: returns once the server has absorbed every frame this
   /// connection sent so far (PING/PING_OK — no lanes shipped back, unlike
-  /// SnapshotRawSketch). The session stays open, unlike Finish(). On a v3
-  /// session the server also republishes its query view at the barrier, so
+  /// SnapshotRawSketch). The session stays open, unlike Finish(). The
+  /// server also republishes its query view at the barrier, so
   /// Ping-then-Query reads your own writes.
   Status Ping();
 
-  /// v3 read path: one query against the server's published finalized
-  /// view (join size / frequency / frequent items / multiway chain / AQP
-  /// range kinds — see QueryKind). Fails with FailedPrecondition without
-  /// touching the wire when the session negotiated < v3, and with the
-  /// server's ERROR status when it rejects the request (mismatched probe
-  /// params, oversized domain, ...). The session stays open either way.
+  /// Read path: one query against the server's published finalized view
+  /// (join size / frequency / frequent items / multiway chain / AQP range
+  /// kinds — see QueryKind). Fails with the server's ERROR status when it
+  /// rejects the request (mismatched probe params, oversized domain, ...);
+  /// the session stays open either way.
   Result<QueryResponse> Query(const QueryRequest& request);
 
-  /// v4 ops path: asks the server for its stats snapshot (the same JSON
-  /// the SIGUSR1 dump and JSONL exporter emit — see obs/stats_export.h).
-  /// Fails with FailedPrecondition without touching the wire when the
-  /// session negotiated < v4. Never ordered behind ingest server-side.
+  /// Ops path: asks the server for its stats snapshot (the same JSON the
+  /// SIGUSR1 dump and JSONL exporter emit — see obs/stats_export.h). Never
+  /// ordered behind ingest server-side.
   Result<std::string> Stats();
 
-  /// v5 fleet path: ships this node's full stats snapshot — counters,
-  /// gauges, raw histogram buckets — upstream as STATS_PUSH and waits for
-  /// the ack. A lost or failed push is harmless (the series are cumulative;
-  /// the next push supersedes it), so callers treat errors as advisory.
-  /// Fails with FailedPrecondition without touching the wire when the
-  /// session negotiated < v5.
+  /// Fleet path: ships this node's full stats snapshot — counters, gauges,
+  /// raw histogram buckets — upstream as STATS_PUSH and waits for the ack.
+  /// A lost or failed push is harmless (the series are cumulative; the
+  /// next push supersedes it), so callers treat errors as advisory.
   Status PushStats(const FleetSnapshot& snapshot);
 
-  /// v5 fleet path: asks the server (a central) for its merged fleet view —
+  /// Fleet path: asks the server (a central) for its merged fleet view —
   /// every region's last pushed snapshot, the exactly-merged cluster
-  /// histograms, and per-region + cluster health verdicts. Same < v5
-  /// local refusal as PushStats.
+  /// histograms, and per-region + cluster health verdicts.
   Result<FleetView> FleetStats();
 
   /// Asks the server to end collection (the CLI `serve` loop exits, drains,
@@ -178,8 +166,6 @@ class FrameSender {
 
   uint32_t server_shards() const { return session_.num_shards; }
   bool acked_data() const { return session_.acked_data; }
-  /// The version this session actually speaks: min(ours, server's).
-  uint8_t negotiated_version() const { return session_.version; }
   /// First epoch the server has not applied for the announced region
   /// (0 when no region was announced or the server never heard from it).
   uint64_t region_next_epoch() const { return session_.region_next_epoch; }
@@ -199,12 +185,6 @@ class FrameSender {
 
   /// Reads the next server frame, surfacing ERROR frames as their Status.
   Result<NetFrame> ReadReply();
-
-  /// Shared body of the plain/traced batch sends: writes either a bare
-  /// DATA frame or a TRACED(kData) envelope, then runs the busy-retry
-  /// protocol. A retried frame re-sends the identical bytes.
-  Status SendBatchInternal(std::span<const uint8_t> envelope,
-                           const TraceContext& trace);
 
   Socket socket_;
   SessionHelloOk session_;

@@ -1,6 +1,7 @@
 #include "net/frame_server.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstring>
 #include <optional>
@@ -159,6 +160,14 @@ bool FrameServer::HelloMatches(const SessionHello& hello) const {
          hello.seed == params_.seed && theirs == ours;
 }
 
+bool FrameServer::Reply(Connection& conn, NetFrameType type,
+                        std::span<const uint8_t> payload) {
+  MutexLock g(conn.write_mu);
+  if (WriteNetFrame(conn.socket, type, payload).ok()) return true;
+  conn.socket.ShutdownBoth();
+  return false;
+}
+
 void FrameServer::SendError(Connection& conn, const Status& status) {
   // Best effort: the peer may already be gone.
   MutexLock g(conn.write_mu);
@@ -166,73 +175,116 @@ void FrameServer::SendError(Connection& conn, const Status& status) {
                       EncodeErrorPayload(status));
 }
 
+void FrameServer::CloseWithError(Connection& conn, const Status& status) {
+  SendError(conn, status);
+  // Shut the socket down NOW, not when the next accept/exit reaps the
+  // Connection: the peer must read EOF right after the ERROR, and a peer
+  // mid-send on an oversized frame is blocked in send() with a full socket
+  // buffer that only an RST unblocks. Leaving the fd open parks that peer
+  // until unrelated traffic arrives — on an otherwise idle server, forever.
+  conn.socket.ShutdownBoth();
+}
+
+void FrameServer::RejectCorrupt(Connection& conn, const Status& status) {
+  conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
+  CloseWithError(conn, status);
+}
+
 void FrameServer::WaitConnDrained(Connection* conn) {
   MutexLock lock(mu_);
   while (conn->data_inflight != 0) drain_cv_.Wait(mu_);
 }
 
-void FrameServer::ReaderLoop(Connection* conn) {
-  bool session_open = false;
-  // --- Handshake: exactly one HELLO with matching session params. --------
-  auto hello_frame = ReadNetFrame(conn->socket, kMaxIngestFramePayload);
-  if (hello_frame.ok() && hello_frame->type == NetFrameType::kHello) {
-    conn->bytes_received.fetch_add(
-        kFrameHeaderBytes + hello_frame->payload.size(),
-        std::memory_order_relaxed);
-    auto hello = DecodeHello(hello_frame->payload);
-    if (!hello.ok()) {
-      conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-      SendError(*conn, hello.status());
-    } else if (!HelloMatches(*hello)) {
-      handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
-      SendError(*conn, Status::FailedPrecondition(
-                           "session params mismatch: server sketch is k=" +
-                           std::to_string(params_.k) +
-                           " m=" + std::to_string(params_.m)));
-    } else {
-      // Version negotiation: the session speaks min(theirs, ours). A v2
-      // peer keeps its exact v2 session; QUERY is gated on >= 3 below.
-      conn->version = std::min(hello->version, kNetVersion);
-      SessionHelloOk ok;
-      ok.version = conn->version;
-      ok.num_shards = static_cast<uint32_t>(aggregator_.num_shards());
-      ok.acked_data = options_.backpressure == BackpressurePolicy::kShed;
-      if (hello->has_region) {
-        // The epoch sync a (re)connecting regional shipper runs on: the
-        // first epoch this server has NOT applied for that region. A
-        // region it has never heard from reads as 0 — the region keeps its
-        // own numbering. Read-only: a HELLO must not create a region row.
-        MutexLock lock(mu_);
-        auto it = regions_.find(hello->region_id);
-        if (it != regions_.end()) ok.region_next_epoch = it->second.next_epoch;
-      }
-      MutexLock g(conn->write_mu);
-      session_open =
-          WriteNetFrame(conn->socket, NetFrameType::kHelloOk, EncodeHelloOk(ok))
-              .ok();
-    }
-  } else if (!hello_frame.ok() &&
-             hello_frame.status().code() == StatusCode::kNotFound) {
-    // Clean close before HELLO: a port probe, not an error.
-  } else if (!hello_frame.ok() &&
-             hello_frame.status().code() == StatusCode::kDeadlineExceeded) {
-    // Connected but never spoke: the idle deadline reaps it.
-    idle_reaped_.fetch_add(1, std::memory_order_relaxed);
-    ObsEvent reap;
-    reap.kind = "idle_reap";
-    reap.cause = "connection silent before HELLO";
-    events_.Record(std::move(reap));
-    conn->socket.ShutdownBoth();
-  } else {
-    conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-    SendError(*conn, Status::Corruption("expected HELLO"));
+const FrameServer::FrameRoute* FrameServer::RouteFor(NetFrameType type) {
+  // Indexed by frame type. TRACED never reaches the table (ReaderLoop
+  // unwraps it first), and a type without a handler is not a request.
+  static constexpr auto kRoutes = [] {
+    std::array<FrameRoute, static_cast<size_t>(NetFrameType::kFleetStats) + 1>
+        routes{};
+    auto route = [&routes](NetFrameType t, FrameHandler handler,
+                           bool ordered_after_data) {
+      routes[static_cast<size_t>(t)] = {handler, ordered_after_data};
+    };
+    route(NetFrameType::kData, &FrameServer::HandleData, false);
+    route(NetFrameType::kSnapshot, &FrameServer::HandleSnapshot, true);
+    route(NetFrameType::kEpochPush, &FrameServer::HandleEpochPush, true);
+    route(NetFrameType::kFinalize, &FrameServer::HandleFinalize, true);
+    route(NetFrameType::kPing, &FrameServer::HandlePing, true);
+    route(NetFrameType::kBye, &FrameServer::HandleBye, true);
+    route(NetFrameType::kQuery, &FrameServer::HandleQuery, false);
+    route(NetFrameType::kStatsRequest, &FrameServer::HandleStats, false);
+    route(NetFrameType::kStatsPush, &FrameServer::HandleStatsPush, false);
+    route(NetFrameType::kFleetStatsRequest, &FrameServer::HandleFleetStats,
+          false);
+    return routes;
+  }();
+  const size_t index = static_cast<size_t>(type);
+  if (index >= kRoutes.size() || kRoutes[index].handler == nullptr) {
+    return nullptr;
   }
+  return &kRoutes[index];
+}
 
-  // --- Frame loop: route DATA to a shard queue, handle control inline. ---
+bool FrameServer::OpenSession(Connection& conn) {
+  auto frame = ReadNetFrame(conn.socket, kMaxIngestFramePayload);
+  if (!frame.ok()) {
+    if (frame.status().code() == StatusCode::kDeadlineExceeded) {
+      // Connected but never spoke: the idle deadline reaps it.
+      idle_reaped_.fetch_add(1, std::memory_order_relaxed);
+      ObsEvent reap;
+      reap.kind = "idle_reap";
+      reap.cause = "connection silent before HELLO";
+      events_.Record(std::move(reap));
+      conn.socket.ShutdownBoth();
+    } else if (frame.status().code() != StatusCode::kNotFound) {
+      RejectCorrupt(conn, frame.status());
+    }  // else a clean close before HELLO: a port probe, not an error.
+    return false;
+  }
+  if (frame->type != NetFrameType::kHello) {
+    RejectCorrupt(conn, Status::Corruption("expected HELLO"));
+    return false;
+  }
+  conn.bytes_received.fetch_add(kFrameHeaderBytes + frame->payload.size(),
+                                std::memory_order_relaxed);
+  auto hello = DecodeHello(frame->payload);
+  if (!hello.ok() && hello.status().code() != StatusCode::kFailedPrecondition) {
+    RejectCorrupt(conn, hello.status());
+    return false;
+  }
+  if (!hello.ok() || !HelloMatches(*hello)) {
+    // Another protocol version or other sketch params: a well-formed peer
+    // of some other session, refused and counted as such.
+    handshakes_rejected_.fetch_add(1, std::memory_order_relaxed);
+    CloseWithError(conn, !hello.ok()
+                             ? hello.status()
+                             : Status::FailedPrecondition(
+                                   "session params mismatch: server sketch "
+                                   "is k=" + std::to_string(params_.k) +
+                                   " m=" + std::to_string(params_.m)));
+    return false;
+  }
+  SessionHelloOk ok;
+  ok.num_shards = static_cast<uint32_t>(aggregator_.num_shards());
+  ok.acked_data = options_.backpressure == BackpressurePolicy::kShed;
+  if (hello->has_region) {
+    // The epoch sync a (re)connecting regional shipper runs on: the first
+    // epoch this server has NOT applied for that region. A region it has
+    // never heard from reads as 0 — the region keeps its own numbering.
+    // Read-only: a HELLO must not create a region row.
+    MutexLock lock(mu_);
+    auto it = regions_.find(hello->region_id);
+    if (it != regions_.end()) ok.region_next_epoch = it->second.next_epoch;
+  }
+  return Reply(conn, NetFrameType::kHelloOk, EncodeHelloOk(ok));
+}
+
+void FrameServer::ReaderLoop(Connection* conn) {
+  bool session_open = OpenSession(*conn);
   while (session_open) {
-    auto frame = ReadNetFrame(conn->socket, max_session_payload_);
-    if (!frame.ok()) {
-      if (frame.status().code() == StatusCode::kDeadlineExceeded) {
+    auto read = ReadNetFrame(conn->socket, max_session_payload_);
+    if (!read.ok()) {
+      if (read.status().code() == StatusCode::kDeadlineExceeded) {
         // The peer went silent past the idle deadline: reap the
         // connection so a hung client cannot pin a thread and fd forever.
         // Its already-queued frames still drain — reaping loses nothing.
@@ -241,261 +293,42 @@ void FrameServer::ReaderLoop(Connection* conn) {
         reap.kind = "idle_reap";
         reap.cause = "session idle past deadline";
         events_.Record(std::move(reap));
-        SendError(*conn, frame.status());
-        conn->socket.ShutdownBoth();
-        break;
-      }
-      if (frame.status().code() != StatusCode::kNotFound) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn, frame.status());
-        // Shut the socket down NOW, not when the next accept/exit reaps the
-        // Connection: a peer mid-send on an oversized frame is blocked in
-        // send() with a full socket buffer, and only an RST unblocks it.
-        // Leaving the fd open parks that peer until unrelated traffic
-        // arrives — on an otherwise idle server, forever.
-        conn->socket.ShutdownBoth();
+        CloseWithError(*conn, read.status());
+      } else if (read.status().code() != StatusCode::kNotFound) {
+        RejectCorrupt(*conn, read.status());
       }
       break;
     }
-    // v4 trace envelope: unwrap it here so every downstream handler sees
-    // exactly the inner frame it would have seen on a bare session — the
-    // trace context rides alongside, it never changes the bytes handled.
-    TraceContext trace;
-    size_t payload_offset = 0;
-    NetFrameType effective_type = frame->type;
-    if (frame->type == NetFrameType::kTraced) {
-      if (conn->version < 4) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn, Status::FailedPrecondition(
-                             "TRACED requires LJSP v4; session negotiated v" +
-                             std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
-        break;
-      }
-      auto traced = DecodeTraced(frame->payload);
+    InboundFrame frame;
+    frame.type = read->type;
+    frame.bytes = std::move(read->payload);
+    if (frame.type == NetFrameType::kTraced) {
+      // Unwrap here so every handler sees exactly the inner frame it would
+      // have seen bare — the trace context rides alongside, it never
+      // changes the bytes handled. DecodeTraced owns the rule of which
+      // inner types may be traced.
+      auto traced = DecodeTraced(frame.bytes);
       if (!traced.ok()) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn, traced.status());
-        conn->socket.ShutdownBoth();
+        RejectCorrupt(*conn, traced.status());
         break;
       }
-      trace.trace_id = traced->trace_id;
-      trace.origin_ns = traced->origin_ns;
-      payload_offset = kTracedHeaderBytes;
-      effective_type = traced->inner_type;
+      frame.type = traced->inner_type;
+      frame.offset = kTracedHeaderBytes;
+      frame.trace.trace_id = traced->trace_id;
+      frame.trace.origin_ns = traced->origin_ns;
     }
-    const std::span<const uint8_t> payload =
-        std::span<const uint8_t>(frame->payload).subspan(payload_offset);
-    const bool is_data = effective_type == NetFrameType::kData;
-    const bool is_query = effective_type == NetFrameType::kQuery;
-    const bool is_stats = effective_type == NetFrameType::kStatsRequest;
-    const bool is_stats_push = effective_type == NetFrameType::kStatsPush;
-    const bool is_fleet_stats =
-        effective_type == NetFrameType::kFleetStatsRequest;
-    const bool is_control = effective_type == NetFrameType::kSnapshot ||
-                            effective_type == NetFrameType::kEpochPush ||
-                            effective_type == NetFrameType::kFinalize ||
-                            effective_type == NetFrameType::kPing ||
-                            effective_type == NetFrameType::kBye;
-    if (!is_data && !is_control && !is_query && !is_stats && !is_stats_push &&
-        !is_fleet_stats) {
-      conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-      SendError(*conn, Status::Corruption("unexpected client frame type"));
-      conn->socket.ShutdownBoth();
+    const FrameRoute* route = RouteFor(frame.type);
+    if (route == nullptr) {
+      RejectCorrupt(*conn, Status::Corruption(
+                               "unexpected client frame type " +
+                               std::to_string(static_cast<int>(frame.type))));
       break;
     }
     conn->frames_received.fetch_add(1, std::memory_order_relaxed);
-    conn->bytes_received.fetch_add(kFrameHeaderBytes + frame->payload.size(),
+    conn->bytes_received.fetch_add(kFrameHeaderBytes + frame.bytes.size(),
                                    std::memory_order_relaxed);
-
-    if (is_stats) {
-      // Like QUERY, deliberately NOT behind WaitConnDrained: an ops probe
-      // must never stall behind (or hold up) a busy ingest queue.
-      if (conn->version < 4) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn,
-                  Status::FailedPrecondition(
-                      "STATS_REQUEST requires LJSP v4; session negotiated v" +
-                      std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
-        break;
-      }
-      HandleStats(*conn);
-      continue;
-    }
-
-    if (is_stats_push || is_fleet_stats) {
-      // v5 fleet frames: telemetry, never behind the drain barrier — a
-      // region's stats push must land even while its data frames queue,
-      // and a dashboard scrape must never stall behind ingest.
-      if (conn->version < 5) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn,
-                  Status::FailedPrecondition(
-                      std::string(is_stats_push ? "STATS_PUSH"
-                                                : "FLEET_STATS_REQUEST") +
-                      " requires LJSP v5; session negotiated v" +
-                      std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
-        break;
-      }
-      if (is_stats_push) {
-        if (!HandleStatsPush(*conn, payload)) break;
-      } else {
-        HandleFleetStats(*conn);
-      }
-      continue;
-    }
-
-    if (is_query) {
-      // Deliberately NOT behind WaitConnDrained: a query reads the latest
-      // published view and nothing else, so it can never stall behind —
-      // or hold up — ingest or the finalize barrier.
-      if (conn->version < 3) {
-        conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-        queries_rejected_.fetch_add(1, std::memory_order_relaxed);
-        query_kind_rejected_[6].fetch_add(1, std::memory_order_relaxed);
-        SendError(*conn, Status::FailedPrecondition(
-                             "QUERY requires LJSP v3; session negotiated v" +
-                             std::to_string(conn->version)));
-        conn->socket.ShutdownBoth();
-        break;
-      }
-      if (!HandleQuery(*conn, payload, trace)) break;
-      continue;
-    }
-
-    if (is_data) {
-      // Shard-affine routing: connection-local round-robin spreads a single
-      // heavy sender across every pump; any routing is bit-identical.
-      const size_t shard = conn->next_shard;
-      conn->next_shard = (conn->next_shard + 1) % lanes_.size();
-      ShardLane& lane = *lanes_[shard];
-      bool shed = false;
-      {
-        MutexLock lock(mu_);
-        if (options_.backpressure == BackpressurePolicy::kShed &&
-            lane.queue.size() >= options_.queue_capacity && !stopping_) {
-          shed = true;
-        } else {
-          // Block policy: park until the shard's pump makes space. During a
-          // stopping drain the frame is admitted regardless so the reader
-          // can reach the client's close — memory stays bounded at
-          // capacity + 1 per shard.
-          while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
-            space_cv_.Wait(mu_);
-          }
-          ++conn->data_inflight;
-          PumpItem item;
-          item.conn = conn;
-          item.payload = std::move(frame->payload);
-          item.payload_offset = payload_offset;
-          item.trace = trace;
-          if (ObsEnabled()) item.enqueue_ns = NowNanos();
-          lane.queue.push_back(std::move(item));
-          // Writers are serialized by mu_, so load-then-store cannot lose
-          // an update; the atomic exists for the lock-free metrics read.
-          const uint64_t depth = lane.queue.size();
-          if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
-            lane.queue_high_water.store(depth, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (shed) {
-        conn->frames_shed.fetch_add(1, std::memory_order_relaxed);
-        const uint8_t busy = static_cast<uint8_t>(DataAckCode::kBusy);
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&busy, 1})
-                 .ok()) {
-          session_open = false;
-        }
-        continue;
-      }
-      lane.work_cv.NotifyOne();
-      if (options_.backpressure == BackpressurePolicy::kShed) {
-        const uint8_t ok = static_cast<uint8_t>(DataAckCode::kAbsorbed);
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kDataAck, {&ok, 1})
-                 .ok()) {
-          session_open = false;
-        }
-      }
-      continue;
-    }
-
-    // Control frames are ordered after every DATA frame this connection
-    // sent: wait for the pumps to absorb the connection's in-flight frames,
-    // then act — so SNAPSHOT_DATA / EPOCH_PUSH_OK / FINALIZE_OK / BYE_OK
-    // keep their "your data is in the lanes" meaning under multi-pump.
-    WaitConnDrained(conn);
-    switch (effective_type) {
-      case NetFrameType::kSnapshot:
-        HandleSnapshot(*conn);
-        break;
-      case NetFrameType::kEpochPush:
-        HandleEpochPush(*conn, payload, trace);
-        break;
-      case NetFrameType::kFinalize: {
-        if (frame->payload.size() != 0 && frame->payload.size() != 4) {
-          // Only 0 (anonymous) or 4 (u32 region tag) are well-formed. A
-          // truncated/garbage tag must never fall through to the barrier
-          // below — counting it (as anything) could end a multi-region
-          // collection early. Reject, count, and close the offender.
-          conn->corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-          SendError(*conn, Status::Corruption("malformed FINALIZE payload"));
-          conn->socket.ShutdownBoth();
-          session_open = false;
-          break;
-        }
-        // The finalizing client's frames are all drained (barrier above):
-        // publish them so queries arriving after the collection ends see
-        // the complete view.
-        PublishView();
-        {
-          MutexLock g(conn->write_mu);
-          if (!WriteNetFrame(conn->socket, NetFrameType::kFinalizeOk, {})
-                   .ok()) {
-            conn->socket.ShutdownBoth();
-          }
-        }
-        {
-          MutexLock lock(mu_);
-          if (frame->payload.size() == 4) {
-            // Region-tagged: idempotent — a retried forward after a lost
-            // FINALIZE_OK counts the region once, never twice.
-            uint32_t region = 0;
-            for (int i = 0; i < 4; ++i) {
-              region |= static_cast<uint32_t>(frame->payload[i]) << (8 * i);
-            }
-            finalized_regions_.insert(region);
-          } else {
-            ++anonymous_finalizes_;
-          }
-        }
-        finalize_cv_.NotifyAll();
-        break;
-      }
-      case NetFrameType::kPing: {
-        // The WaitConnDrained above is the whole point: PING_OK promises
-        // "everything you sent is in the lanes" without shipping them back.
-        // Republish before acking, so "ping, then query" reads your own
-        // writes from the published view.
-        PublishView();
-        MutexLock g(conn->write_mu);
-        if (!WriteNetFrame(conn->socket, NetFrameType::kPingOk, {}).ok()) {
-          conn->socket.ShutdownBoth();
-        }
-        break;
-      }
-      case NetFrameType::kBye: {
-        MutexLock g(conn->write_mu);
-        (void)WriteNetFrame(conn->socket, NetFrameType::kByeOk, {});
-        session_open = false;  // client is done sending
-        break;
-      }
-      default:
-        break;
-    }
+    if (route->ordered_after_data) WaitConnDrained(conn);
+    session_open = (this->*route->handler)(*conn, frame);
   }
 
   // Reap peers that finished before us (we cannot reap ourselves — the
@@ -510,28 +343,114 @@ void FrameServer::ReaderLoop(Connection* conn) {
   drain_cv_.NotifyAll();
 }
 
-void FrameServer::HandleSnapshot(Connection& conn) {
-  // Raw-lane snapshot of everything ingested so far (multi-epoch
-  // streaming: snapshots merge bit-exactly across epochs).
-  const std::vector<uint8_t> bytes = MergeShardsLocked().Serialize();
-  MutexLock g(conn.write_mu);
-  if (!WriteNetFrame(conn.socket, NetFrameType::kSnapshotData, bytes).ok()) {
-    // The peer stopped reading (send timed out) or vanished; cut it.
-    conn.socket.ShutdownBoth();
+bool FrameServer::HandleData(Connection& conn, InboundFrame& frame) {
+  // Shard-affine routing: connection-local round-robin spreads a single
+  // heavy sender across every pump; any routing is bit-identical.
+  const size_t shard = conn.next_shard;
+  conn.next_shard = (conn.next_shard + 1) % lanes_.size();
+  ShardLane& lane = *lanes_[shard];
+  bool shed = false;
+  {
+    MutexLock lock(mu_);
+    if (options_.backpressure == BackpressurePolicy::kShed &&
+        lane.queue.size() >= options_.queue_capacity && !stopping_) {
+      shed = true;
+    } else {
+      // Block policy: park until the shard's pump makes space. During a
+      // stopping drain the frame is admitted regardless so the reader can
+      // reach the client's close — memory stays bounded at capacity + 1
+      // per shard.
+      while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
+        space_cv_.Wait(mu_);
+      }
+      ++conn.data_inflight;
+      PumpItem item;
+      item.conn = &conn;
+      item.payload = std::move(frame.bytes);
+      item.payload_offset = frame.offset;
+      item.trace = frame.trace;
+      if (ObsEnabled()) item.enqueue_ns = NowNanos();
+      lane.queue.push_back(std::move(item));
+      // Writers are serialized by mu_, so load-then-store cannot lose an
+      // update; the atomic exists for the lock-free metrics read.
+      const uint64_t depth = lane.queue.size();
+      if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
+        lane.queue_high_water.store(depth, std::memory_order_relaxed);
+      }
+    }
   }
+  if (shed) {
+    conn.frames_shed.fetch_add(1, std::memory_order_relaxed);
+    const uint8_t busy = static_cast<uint8_t>(DataAckCode::kBusy);
+    return Reply(conn, NetFrameType::kDataAck, {&busy, 1});
+  }
+  lane.work_cv.NotifyOne();
+  if (options_.backpressure != BackpressurePolicy::kShed) return true;
+  const uint8_t absorbed = static_cast<uint8_t>(DataAckCode::kAbsorbed);
+  return Reply(conn, NetFrameType::kDataAck, {&absorbed, 1});
 }
 
-void FrameServer::HandleEpochPush(Connection& conn,
-                                  std::span<const uint8_t> payload,
-                                  const TraceContext& trace) {
+bool FrameServer::HandleSnapshot(Connection& conn, InboundFrame& /*frame*/) {
+  // Raw-lane snapshot of everything ingested so far (multi-epoch
+  // streaming: snapshots merge bit-exactly across epochs).
+  return Reply(conn, NetFrameType::kSnapshotData,
+               MergeShardsLocked().Serialize());
+}
+
+bool FrameServer::HandleFinalize(Connection& conn, InboundFrame& frame) {
+  const std::span<const uint8_t> payload = frame.payload();
+  if (payload.size() != 0 && payload.size() != 4) {
+    // Only 0 (anonymous) or 4 (u32 region tag) are well-formed. A
+    // truncated/garbage tag must never fall through to the barrier below —
+    // counting it (as anything) could end a multi-region collection early.
+    RejectCorrupt(conn, Status::Corruption("malformed FINALIZE payload"));
+    return false;
+  }
+  // The finalizing client's frames are all drained (the route is ordered
+  // after DATA): publish them so queries arriving after the collection
+  // ends see the complete view.
+  PublishView();
+  const bool replied = Reply(conn, NetFrameType::kFinalizeOk, {});
+  {
+    MutexLock lock(mu_);
+    if (payload.size() == 4) {
+      // Region-tagged: idempotent — a retried forward after a lost
+      // FINALIZE_OK counts the region once, never twice.
+      uint32_t region = 0;
+      for (int i = 0; i < 4; ++i) {
+        region |= static_cast<uint32_t>(payload[i]) << (8 * i);
+      }
+      finalized_regions_.insert(region);
+    } else {
+      ++anonymous_finalizes_;
+    }
+  }
+  finalize_cv_.NotifyAll();
+  return replied;
+}
+
+bool FrameServer::HandlePing(Connection& conn, InboundFrame& /*frame*/) {
+  // The drain barrier before this handler is the whole point: PING_OK
+  // promises "everything you sent is in the lanes" without shipping them
+  // back. Republish before acking, so "ping, then query" reads your own
+  // writes from the published view.
+  PublishView();
+  return Reply(conn, NetFrameType::kPingOk, {});
+}
+
+bool FrameServer::HandleBye(Connection& conn, InboundFrame& /*frame*/) {
+  (void)Reply(conn, NetFrameType::kByeOk, {});
+  return false;  // the client is done sending
+}
+
+bool FrameServer::HandleEpochPush(Connection& conn, InboundFrame& frame) {
+  const TraceContext& trace = frame.trace;
   const uint64_t merge_start_ns =
       (ObsEnabled() && trace.active()) ? NowNanos() : 0;
-  auto push = DecodeEpochPush(payload);
+  auto push = DecodeEpochPush(frame.payload());
   if (!push.ok()) {
-    conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-    SendError(conn, push.status());
-    conn.socket.ShutdownBoth();
-    return;
+    RejectCorrupt(conn, push.status());
+    return false;
   }
   // An empty sketch is the idle-region heartbeat: it advances the
   // region's epoch clock (dedup + high-water + ack) without merging a
@@ -546,10 +465,8 @@ void FrameServer::HandleEpochPush(Connection& conn,
   if (!heartbeat) {
     auto decoded = aggregator_.DecodeCompatibleSketch(push->raw_sketch);
     if (!decoded.ok()) {
-      conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, decoded.status());
-      conn.socket.ShutdownBoth();
-      return;
+      RejectCorrupt(conn, decoded.status());
+      return false;
     }
     snapshot.emplace(std::move(*decoded));
   }
@@ -627,12 +544,7 @@ void FrameServer::HandleEpochPush(Connection& conn,
     MutexLock lock(mu_);
     ack.next_epoch = regions_[push->region_id].next_epoch;
   }
-  MutexLock g(conn.write_mu);
-  if (!WriteNetFrame(conn.socket, NetFrameType::kEpochPushOk,
-                     EncodeEpochPushAck(ack))
-           .ok()) {
-    conn.socket.ShutdownBoth();
-  }
+  return Reply(conn, NetFrameType::kEpochPushOk, EncodeEpochPushAck(ack));
 }
 
 bool FrameServer::AllReadersDone() const {
@@ -728,9 +640,7 @@ void FrameServer::ProcessData(size_t shard, PumpItem& item) {
     // A rejected frame left every lane untouched (shard contract); count
     // it, tell the client, and cut the connection — a client producing
     // corrupt envelopes cannot be trusted with the session.
-    conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-    SendError(conn, status);
-    conn.socket.ShutdownBoth();
+    RejectCorrupt(conn, status);
     return;
   }
   conn.reports_ingested.fetch_add(delta, std::memory_order_relaxed);
@@ -819,12 +729,6 @@ TraceContext FrameServer::TakeCutTrace() {
   return trace;
 }
 
-LdpJoinSketchServer FrameServer::FinalizedView() const {
-  LdpJoinSketchServer merged = MergeShardsLocked();
-  merged.Finalize();
-  return merged;
-}
-
 void FrameServer::PublishView() {
   const uint64_t publish_start_ns = ObsEnabled() ? NowNanos() : 0;
   LdpJoinSketchServer merged = MergeShardsLocked();
@@ -865,21 +769,17 @@ void FrameServer::RecordQueryOutcome(size_t kind_index, uint64_t start_ns,
   if (kind_index < 6) query_kind_latency_[kind_index]->Record(elapsed);
 }
 
-bool FrameServer::HandleQuery(Connection& conn,
-                              std::span<const uint8_t> payload,
-                              const TraceContext& trace) {
+bool FrameServer::HandleQuery(Connection& conn, InboundFrame& frame) {
   const uint64_t start_ns = ObsEnabled() ? NowNanos() : 0;
-  auto request = DecodeQueryRequest(payload);
+  auto request = DecodeQueryRequest(frame.payload());
   if (!request.ok()) {
     // Undecodable bytes: protocol violation — cut the connection like any
     // other corrupt frame. The kind never decoded, so the reject lands on
     // the "unknown" attribution row.
-    conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
     queries_rejected_.fetch_add(1, std::memory_order_relaxed);
     query_kind_rejected_[6].fetch_add(1, std::memory_order_relaxed);
     RecordQueryOutcome(6, start_ns, /*rejected=*/true);
-    SendError(conn, request.status());
-    conn.socket.ShutdownBoth();
+    RejectCorrupt(conn, request.status());
     return false;
   }
   const size_t kind_index = static_cast<size_t>(request->kind);
@@ -900,39 +800,24 @@ bool FrameServer::HandleQuery(Connection& conn,
   query_frames_.fetch_add(1, std::memory_order_relaxed);
   query_kind_served_[kind_index].fetch_add(1, std::memory_order_relaxed);
   RecordQueryOutcome(kind_index, start_ns, /*rejected=*/false);
-  if (start_ns != 0 && trace.active()) {
-    TraceLog::Global().Record(trace.trace_id, "query_serve", start_ns,
+  if (start_ns != 0 && frame.trace.active()) {
+    TraceLog::Global().Record(frame.trace.trace_id, "query_serve", start_ns,
                               NowNanos());
   }
-  MutexLock g(conn.write_mu);
-  if (!WriteNetFrame(conn.socket, NetFrameType::kQueryOk,
-                     EncodeQueryResponse(*response))
-           .ok()) {
-    conn.socket.ShutdownBoth();
-    return false;
-  }
-  return true;
+  return Reply(conn, NetFrameType::kQueryOk, EncodeQueryResponse(*response));
 }
 
-void FrameServer::HandleStats(Connection& conn) {
+bool FrameServer::HandleStats(Connection& conn, InboundFrame& /*frame*/) {
   const std::string json = StatsJson();
-  MutexLock g(conn.write_mu);
-  if (!WriteNetFrame(conn.socket, NetFrameType::kStats,
-                     std::span<const uint8_t>(
-                         reinterpret_cast<const uint8_t*>(json.data()),
-                         json.size()))
-           .ok()) {
-    conn.socket.ShutdownBoth();
-  }
+  return Reply(conn, NetFrameType::kStats,
+               std::span<const uint8_t>(
+                   reinterpret_cast<const uint8_t*>(json.data()), json.size()));
 }
 
-bool FrameServer::HandleStatsPush(Connection& conn,
-                                  std::span<const uint8_t> payload) {
-  auto snapshot = DecodeFleetSnapshot(payload);
+bool FrameServer::HandleStatsPush(Connection& conn, InboundFrame& frame) {
+  auto snapshot = DecodeFleetSnapshot(frame.payload());
   if (!snapshot.ok()) {
-    conn.corrupt_frames.fetch_add(1, std::memory_order_relaxed);
-    SendError(conn, snapshot.status());
-    conn.socket.ShutdownBoth();
+    RejectCorrupt(conn, snapshot.status());
     return false;
   }
   const uint32_t region_id = snapshot->region_id;
@@ -956,20 +841,12 @@ bool FrameServer::HandleStatsPush(Connection& conn,
     event.cause = "cluster: " + result.cluster_current.cause;
     events_.Record(std::move(event));
   }
-  MutexLock g(conn.write_mu);
-  if (!WriteNetFrame(conn.socket, NetFrameType::kStatsPushOk, {}).ok()) {
-    conn.socket.ShutdownBoth();
-    return false;
-  }
-  return true;
+  return Reply(conn, NetFrameType::kStatsPushOk, {});
 }
 
-void FrameServer::HandleFleetStats(Connection& conn) {
-  const std::vector<uint8_t> payload = EncodeFleetView(CurrentFleetView());
-  MutexLock g(conn.write_mu);
-  if (!WriteNetFrame(conn.socket, NetFrameType::kFleetStats, payload).ok()) {
-    conn.socket.ShutdownBoth();
-  }
+bool FrameServer::HandleFleetStats(Connection& conn, InboundFrame& /*frame*/) {
+  return Reply(conn, NetFrameType::kFleetStats,
+               EncodeFleetView(CurrentFleetView()));
 }
 
 FleetView FrameServer::CurrentFleetView() const {
@@ -1096,7 +973,7 @@ NetMetrics FrameServer::metrics() const {
     }
   }
   // Rejects attributable to a kind; slot 6 collects the ones whose kind
-  // never decoded (corrupt payload, pre-v3 session).
+  // never decoded (corrupt payload).
   for (size_t i = 0; i < 7; ++i) {
     const uint64_t rejected =
         query_kind_rejected_[i].load(std::memory_order_relaxed);

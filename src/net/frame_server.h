@@ -9,14 +9,15 @@
 // Threading model (shard-affine multi-pump ingest):
 //   - one acceptor thread;
 //   - one reader thread per connection, which does the HELLO handshake,
-//     parses transport frames, routes DATA frames onto bounded *per-shard*
-//     ingest queues (connection-local round-robin), and handles the
-//     connection's control frames itself;
+//     parses transport frames and dispatches each through one route table
+//     (RouteFor): DATA frames go onto bounded *per-shard* ingest queues
+//     (connection-local round-robin), every other request is handled on
+//     the reader thread itself;
 //   - one ingest pump thread per shard, the sole writer of that shard's
 //     lanes, draining that shard's queue. N shards ingest on N cores.
 //
-// Ordering: a control frame (SNAPSHOT / EPOCH_PUSH / FINALIZE / BYE) is
-// handled only after every DATA frame its connection sent before it has
+// Ordering: a control frame (SNAPSHOT / PING / EPOCH_PUSH / FINALIZE / BYE)
+// is handled only after every DATA frame its connection sent before it has
 // been absorbed (the reader waits for its in-flight count to reach zero),
 // so SNAPSHOT_DATA / BYE_OK keep their "everything you sent is in the
 // lanes" guarantee. Ordering across connections is unspecified, which is
@@ -34,10 +35,11 @@
 // traffic.
 //
 // Untrusted input: a malformed transport frame, an oversized length prefix,
-// a corrupt LJSB envelope or pushed sketch, a mid-frame disconnect, or a
-// HELLO with mismatched sketch params can never crash the server or touch a
-// lane — each is counted in the metrics and the offending connection is
-// closed.
+// a frame type clients may not send, a corrupt LJSB envelope or pushed
+// sketch, a mid-frame disconnect, or a HELLO with another protocol version
+// or mismatched sketch params can never crash the server or touch a lane —
+// each is counted in the metrics, answered with ERROR, and the offending
+// connection is closed.
 #ifndef LDPJS_NET_FRAME_SERVER_H_
 #define LDPJS_NET_FRAME_SERVER_H_
 
@@ -163,17 +165,11 @@ class FrameServer {
   /// context when no traced frame landed in the cut epoch.
   TraceContext TakeCutTrace();
 
-  /// A finalized copy of everything currently in the lanes, without
-  /// disturbing collection — how a central aggregator answers estimates at
-  /// an epoch boundary while regions keep streaming. Takes every shard
-  /// lock and copies k·m lanes per call; steady-state readers should hold
-  /// CurrentPublishedView() instead.
-  LdpJoinSketchServer FinalizedView() const;
-
   /// The latest RCU-published lifetime view (atomic load, no ingest
-  /// locks). Published at Start (empty), at every applied EPOCH_PUSH, at
-  /// every PING barrier, and at FINALIZE — so "ping, then query" reads
-  /// your own writes. Never null after Start.
+  /// locks) — the one way to read the server's estimate. Published at Start
+  /// (empty), at every applied EPOCH_PUSH, at every PING barrier, at
+  /// FINALIZE, and by PublishView() — so "ping, then query" reads your own
+  /// writes. Never null after Start.
   std::shared_ptr<const PublishedView> CurrentPublishedView() const {
     return publisher_.Current();
   }
@@ -207,7 +203,7 @@ class FrameServer {
   /// The JSON a STATS frame answers with: the stats_metrics_source (or the
   /// server's own metrics()) serialized together with the process-global
   /// registry through the one shared serializer (obs/stats_export.h) —
-  /// plus, since v5, "health" (this server's own verdict), "fleet" (the
+  /// plus "health" (this server's own verdict), "fleet" (the
   /// merged view over pushed region snapshots; empty regions list when
   /// nothing has pushed), and "events" (the bounded transition ring).
   std::string StatsJson() const;
@@ -226,9 +222,6 @@ class FrameServer {
   struct Connection {
     uint64_t id = 0;
     Socket socket;
-    /// Negotiated LJSP version (min of client's HELLO and ours). QUERY is
-    /// only legal at >= 3; a v2 session sending one gets ERROR + close.
-    uint8_t version = kNetVersion;
     std::thread reader;
     /// Serializes socket writes (acks, replies). A nested struct cannot
     /// name the owning server's mu_ in a GUARDED_BY, so the two fields
@@ -283,32 +276,60 @@ class FrameServer {
     RegionMetrics metrics;
   };
 
+  /// One client frame as a route handler sees it. A TRACED envelope is
+  /// already unwrapped: `type` is the inner type, `trace` its context, and
+  /// payload() the inner payload. `bytes` stays the owned outer payload, so
+  /// DATA moves it into the shard queue without a copy.
+  struct InboundFrame {
+    NetFrameType type = NetFrameType::kData;
+    std::vector<uint8_t> bytes;
+    size_t offset = 0;   ///< inner payload start (past a TRACED header)
+    TraceContext trace;  ///< inactive unless the frame was TRACED
+    std::span<const uint8_t> payload() const {
+      return std::span<const uint8_t>(bytes).subspan(offset);
+    }
+  };
+  /// Handles one routed frame. Returns false when the session is over —
+  /// the handler has already replied and, on an error, closed the socket.
+  using FrameHandler = bool (FrameServer::*)(Connection&, InboundFrame&);
+  struct FrameRoute {
+    FrameHandler handler = nullptr;
+    /// Handled only once every DATA frame the connection sent before it is
+    /// absorbed — what gives the reply its "your data is in the lanes"
+    /// meaning. Requests without it never stall behind (or hold up) ingest.
+    bool ordered_after_data = false;
+  };
+  /// The route table row for a client request type; nullptr for every type
+  /// clients may not send (a second HELLO, any server→client frame).
+  static const FrameRoute* RouteFor(NetFrameType type);
+
   void AcceptLoop();
+  /// The HELLO handshake. Returns whether the session is open; on a
+  /// refusal the peer has been sent ERROR and its socket is shut down.
+  bool OpenSession(Connection& conn);
   void ReaderLoop(Connection* conn);
   void PumpLoop(size_t shard);
   void ProcessData(size_t shard, PumpItem& item);
   /// Blocks until every DATA frame `conn` enqueued has been absorbed — the
   /// ordering barrier control frames ride on.
   void WaitConnDrained(Connection* conn);
-  void HandleSnapshot(Connection& conn);
-  void HandleEpochPush(Connection& conn, std::span<const uint8_t> payload,
-                       const TraceContext& trace);
-  /// Answers one QUERY from the published view. Returns false when the
-  /// connection should be closed (corrupt payload). Never waits on the
-  /// drain barrier — queries cannot stall, or be stalled by, ingest.
-  bool HandleQuery(Connection& conn, std::span<const uint8_t> payload,
-                   const TraceContext& trace);
-  /// Answers one STATS_REQUEST with the StatsJson() payload. Like QUERY,
-  /// never behind the drain barrier — an ops probe must not stall behind
-  /// a busy ingest queue.
-  void HandleStats(Connection& conn);
+  // Route handlers (see RouteFor for which are ordered after DATA).
+  bool HandleData(Connection& conn, InboundFrame& frame);
+  bool HandleSnapshot(Connection& conn, InboundFrame& frame);
+  bool HandleEpochPush(Connection& conn, InboundFrame& frame);
+  bool HandleFinalize(Connection& conn, InboundFrame& frame);
+  bool HandlePing(Connection& conn, InboundFrame& frame);
+  bool HandleBye(Connection& conn, InboundFrame& frame);
+  /// Answers one QUERY from the published view; a semantically invalid
+  /// request gets ERROR but keeps the session.
+  bool HandleQuery(Connection& conn, InboundFrame& frame);
+  /// Answers one STATS_REQUEST with the StatsJson() payload.
+  bool HandleStats(Connection& conn, InboundFrame& frame);
   /// Absorbs one STATS_PUSH into the fleet store (health transitions go to
-  /// the event log) and acks. Returns false when the connection should be
-  /// closed (corrupt payload). Never behind the drain barrier: a stats
-  /// push is telemetry, ordered after nothing.
-  bool HandleStatsPush(Connection& conn, std::span<const uint8_t> payload);
+  /// the event log) and acks.
+  bool HandleStatsPush(Connection& conn, InboundFrame& frame);
   /// Answers one FLEET_STATS_REQUEST with the encoded CurrentFleetView().
-  void HandleFleetStats(Connection& conn);
+  bool HandleFleetStats(Connection& conn, InboundFrame& frame);
   /// Notes a traced frame absorbed into the lanes: the pending-publish and
   /// pending-cut slots keep the oldest unclaimed origin, so the claimed
   /// latency is the conservative (worst) one across a publish interval.
@@ -317,7 +338,16 @@ class FrameServer {
   bool AllReadersDone() const LDPJS_REQUIRES(mu_);
   void ReapFinishedConnections() LDPJS_EXCLUDES(mu_);
   ConnectionMetrics SnapshotConnection(const Connection& conn) const;
+  /// Writes one reply frame under the connection's write lock. A failed
+  /// write (the peer stopped reading or vanished) shuts the socket down and
+  /// returns false.
+  bool Reply(Connection& conn, NetFrameType type,
+             std::span<const uint8_t> payload);
   void SendError(Connection& conn, const Status& status);
+  /// ERROR, then shut the socket down at once, so the peer reads EOF next.
+  void CloseWithError(Connection& conn, const Status& status);
+  /// A protocol violation: counted as a corrupt frame, then CloseWithError.
+  void RejectCorrupt(Connection& conn, const Status& status);
   bool HelloMatches(const SessionHello& hello) const;
   /// Merges every shard's lanes under all shard locks (consistent cut).
   /// The lock set is dynamic (one agg_mu per lane), which the static
@@ -369,7 +399,7 @@ class FrameServer {
   bool finalized_ LDPJS_GUARDED_BY(mu_) = false;
   /// RCU-published lifetime view (see CurrentPublishedView).
   ViewPublisher publisher_;
-  /// Query counters: answered frames, rejected (corrupt/invalid/v2), and
+  /// Query counters: answered frames, rejected (corrupt/invalid), and
   /// per-kind served/rejected rows. Lock-free — queries never touch mu_.
   /// Slot 6 of the rejected array is "unknown": the kind never decoded.
   std::atomic<uint64_t> query_frames_{0};
@@ -391,7 +421,7 @@ class FrameServer {
   ObsHistogram* query_error_latency_hist_ = nullptr;
   ObsHistogram* query_kind_latency_[6] = {};
   ObsGauge* view_last_publish_gauge_ = nullptr;
-  /// v5 fleet state. Both are internally synchronized; `mutable` because
+  /// Fleet state. Both are internally synchronized; `mutable` because
   /// StatsJson() — a const read — evaluates local health and must record
   /// the transition it observes (the read is when a state change becomes
   /// visible, so that is when the event exists).

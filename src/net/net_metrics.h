@@ -76,9 +76,9 @@ struct NetMetrics {
   uint64_t spool_bytes_written = 0; ///< durable spool appends
   uint64_t spool_bytes_resumed = 0; ///< spool bytes replayed at restart
   uint64_t spool_epochs_resumed = 0;///< pending epochs rebuilt from spool
-  // Read-side serving tier (LJSP v3 QUERY).
+  // Read-side serving tier (LJSP QUERY).
   uint64_t query_frames = 0;       ///< queries answered with QUERY_OK
-  uint64_t queries_rejected = 0;   ///< corrupt/invalid/pre-v3 queries
+  uint64_t queries_rejected = 0;   ///< corrupt/invalid queries
   uint64_t views_published = 0;    ///< RCU view publications so far
   std::vector<QueryKindMetrics> query_kinds;  ///< served count per kind
   /// Rejected count per kind (rows only for kinds rejected at least once;

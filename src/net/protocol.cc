@@ -11,6 +11,14 @@ bool IsKnownFrameType(uint8_t type) {
          type <= static_cast<uint8_t>(NetFrameType::kFleetStats);
 }
 
+/// The handshake's version rule, shared by HELLO and HELLO_OK.
+Status CheckVersion(uint8_t version) {
+  if (version == kNetVersion) return Status::OK();
+  return Status::FailedPrecondition(
+      "LJSP version mismatch: peer speaks v" + std::to_string(version) +
+      ", this build speaks only v" + std::to_string(kNetVersion));
+}
+
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(const SessionHello& hello) {
@@ -35,14 +43,9 @@ Result<SessionHello> DecodeHello(std::span<const uint8_t> payload) {
   }
   auto version = reader.GetU8();
   if (!version.ok()) return version.status();
-  // The HELLO layout is identical across every version we speak, so any
-  // version in [kNetMinVersion, kNetVersion] parses; the server answers
-  // with the negotiated minimum. Anything outside the band is rejected —
-  // a future layout change could not be parsed here anyway.
-  if (*version < kNetMinVersion || *version > kNetVersion) {
-    return Status::Corruption("unsupported LJSP protocol version " +
-                              std::to_string(*version));
-  }
+  // Checked before the rest: another version's HELLO may not share this
+  // layout, and refusing it is a handshake mismatch, not corruption.
+  LDPJS_RETURN_IF_ERROR(CheckVersion(*version));
   SessionHello hello;
   hello.version = *version;
   auto k = reader.GetU32();
@@ -83,6 +86,7 @@ Result<SessionHelloOk> DecodeHelloOk(std::span<const uint8_t> payload) {
   BinaryReader reader(payload);
   auto version = reader.GetU8();
   if (!version.ok()) return version.status();
+  LDPJS_RETURN_IF_ERROR(CheckVersion(*version));
   auto shards = reader.GetU32();
   if (!shards.ok()) return shards.status();
   auto acked = reader.GetU8();

@@ -1,5 +1,5 @@
-// LJSP session protocol v1: the framing and handshake the TCP front end
-// speaks between FrameSender clients and the FrameServer.
+// LJSP, the session protocol the TCP front end speaks between FrameSender
+// clients and the FrameServer (ingest, regional and central tiers alike).
 //
 // Transport framing (everything little-endian):
 //
@@ -9,24 +9,46 @@
 //
 // Session flow:
 //
-//   client                                server
-//     | -- HELLO {magic,ver,k,m,seed,eps} -> |   params must match exactly
-//     | <- HELLO_OK {ver,shards,ack_mode} -- |   (else ERROR + close)
-//     | -- DATA {LJSB batch envelope} -----> |   ingest into a shard
-//     | <- DATA_ACK {code} ---------------- |   (shed mode only; code busy
-//     |            ...                       |    means retry the frame)
-//     | -- SNAPSHOT ----------------------> |
-//     | <- SNAPSHOT_DATA {raw-lane sketch}- |   merged un-finalized lanes
-//     | -- PING --------------------------> |   ordered-after-DATA barrier
-//     | <- PING_OK ------------------------ |   (no lanes shipped back)
-//     | -- BYE ---------------------------> |
-//     | <- BYE_OK ------------------------- |   all of this connection's
-//     |  close                              |   frames are ingested
+//   client                                 server
+//     | -- HELLO {magic,ver,k,m,seed,eps, -> |  version and params must
+//     |           region?}                   |  match exactly, else ERROR
+//     | <- HELLO_OK {ver,shards,ack_mode, -- |  (FailedPrecondition) + close
+//     |              region_next_epoch}      |
+//     | -- DATA {LJSB batch envelope} -----> |  ingest into a shard
+//     | <- DATA_ACK {code} ---------------- |  shed mode only; busy = retry
+//     |            ...                       |
+//     | -- BYE / FINALIZE -----------------> |  all of this connection's
+//     | <- BYE_OK / FINALIZE_OK ----------- |  frames are ingested
+//     |  close                               |
 //
-// A client ending the whole collection sends FINALIZE instead of BYE as
-// its last message; FINALIZE_OK carries the same "everything you sent is
-// ingested" guarantee (control frames are ordered after the connection's
-// DATA), and the server may tear the session down right after confirming.
+// There is exactly one protocol version, kNetVersion. A HELLO or HELLO_OK
+// carrying any other version is refused at the handshake, like a params
+// mismatch; nothing after the handshake ever looks at the version.
+//
+// Client→server requests and their replies:
+//
+//   DATA             → DATA_ACK (shed mode only)  LJSB batch, into a shard
+//   SNAPSHOT         → SNAPSHOT_DATA   merged raw (un-finalized) lanes
+//   PING             → PING_OK         ingest barrier + view republish
+//   EPOCH_PUSH       → EPOCH_PUSH_OK   a region ships one epoch's lanes
+//   FINALIZE         → FINALIZE_OK     end of collection (last message)
+//   BYE              → BYE_OK          end of session (last message)
+//   QUERY            → QUERY_OK        estimate from the published view
+//   STATS_REQUEST    → STATS           the node's stats JSON
+//   STATS_PUSH       → STATS_PUSH_OK   a region ships its stats snapshot
+//   FLEET_STATS_REQUEST → FLEET_STATS  the central's merged fleet view
+//   TRACED           wraps a DATA, EPOCH_PUSH or QUERY with a trace context
+//
+// Any request may instead be answered with ERROR (a status code + message).
+// A protocol violation — an undecodable payload, an oversized length
+// prefix, a frame type the server does not accept from clients — is
+// answered with ERROR and the connection is closed.
+//
+// Ordering: SNAPSHOT, PING, EPOCH_PUSH, FINALIZE and BYE are handled only
+// after every DATA frame the same connection sent before them is absorbed,
+// so their replies mean "everything you sent is in the lanes". QUERY,
+// STATS_REQUEST, STATS_PUSH and FLEET_STATS_REQUEST are answered at once,
+// never behind ingest.
 //
 // DATA payloads are exactly the "LJSB" batch-envelope records the in-process
 // service ingests (EncodeReportBatch), so the network tier adds framing and
@@ -48,49 +70,15 @@
 namespace ldpjs {
 
 inline constexpr uint32_t kNetMagic = 0x50534A4CU;  // "LJSP" little-endian
-/// v2: HELLO may announce a region id and HELLO_OK answers with the
-/// server's next-expected epoch for that region (the restart/resume sync);
-/// EPOCH_PUSH_OK carries the same next-epoch alongside its ack code; PING/
-/// PING_OK give clients a cheap ordered-after-DATA ingest barrier. v1
-/// peers are rejected at the handshake with a clear error.
-///
-/// v3: the HELLO carries the client's version and the HELLO_OK echoes the
-/// negotiated one (min of the two sides), so v2 peers keep working
-/// unchanged; on a v3 session the client may send QUERY frames — join-size
-/// / frequency / frequent-items / multiway-chain / AQP range estimates
-/// answered from the server's RCU-published finalized view (see
-/// service/published_view.h) without ever touching the ingest locks. A v2
-/// session sending QUERY gets ERROR + close.
-///
-/// v4: observability. Negotiated in HELLO exactly like v3 (the HELLO/
-/// HELLO_OK layout is unchanged, only the accepted band widens), so v2/v3
-/// peers keep working byte-for-byte. On a v4 session the client may send
-/// STATS_REQUEST (answered immediately with a STATS JSON frame, never
-/// behind the ingest drain barrier) and may wrap a DATA/EPOCH_PUSH/QUERY
-/// frame in a TRACED envelope carrying a compact trace context — a u64
-/// trace id plus the wall-clock origin timestamp stamped where the batch
-/// was encoded — so a sampled batch can be timed across every tier it
-/// crosses. Untraced frames are byte-identical to v3, preserving the
-/// bit-identity invariant of the ingest path.
-///
-/// v5: fleet observability. Negotiated in HELLO exactly like v3/v4 (the
-/// HELLO/HELLO_OK layout is unchanged, only the accepted band widens), so
-/// v2..v4 peers keep working byte-for-byte. On a v5 session a regional
-/// aggregator may ship its full stats snapshot upstream with STATS_PUSH —
-/// counters, gauges, and *raw* log2 histogram buckets, never precomputed
-/// percentiles, because bucket arrays merge losslessly by elementwise
-/// addition (the same mergeability argument that federates the sketches)
-/// — and any client may ask the central for its merged fleet view with
-/// FLEET_STATS_REQUEST. A v4-or-older session sending either gets ERROR +
-/// close; a v5 client talking to a v4 server refuses locally without
-/// touching the wire.
+/// The one protocol version this build speaks. Both handshake frames carry
+/// it; any other value is refused (see DecodeHello / DecodeHelloOk).
 inline constexpr uint8_t kNetVersion = 5;
-/// Oldest protocol version this build still speaks.
-inline constexpr uint8_t kNetMinVersion = 2;
 
 /// Frame types. Client→server: kHello, kData, kSnapshot, kFinalize, kBye,
-/// kEpochPush, kPing. Server→client: kHelloOk, kDataAck, kSnapshotData,
-/// kFinalizeOk, kByeOk, kError, kEpochPushOk, kPingOk.
+/// kEpochPush, kPing, kQuery, kStatsRequest, kTraced, kStatsPush,
+/// kFleetStatsRequest. Server→client: kHelloOk, kDataAck, kSnapshotData,
+/// kFinalizeOk, kByeOk, kError, kEpochPushOk, kPingOk, kQueryOk, kStats,
+/// kStatsPushOk, kFleetStats.
 enum class NetFrameType : uint8_t {
   kHello = 1,
   kHelloOk = 2,
@@ -127,7 +115,7 @@ enum class NetFrameType : uint8_t {
   /// cut, where SNAPSHOT (which ships the full lanes back) would be waste.
   kPing = 14,
   kPingOk = 15,
-  /// v3 read path: one query against the server's published finalized view.
+  /// Read path: one query against the server's published finalized view.
   /// Payload: a QueryRequest (see below). Unlike the other non-DATA frames
   /// a QUERY is NOT ordered after the connection's DATA — it is answered
   /// immediately from the latest published snapshot, so a query can never
@@ -138,7 +126,7 @@ enum class NetFrameType : uint8_t {
   /// Payload: a QueryResponse — the answer plus the identity (sequence /
   /// epoch / report count) of the published view that produced it.
   kQueryOk = 17,
-  /// v4 read path: ask the server for its stats snapshot. Empty payload;
+  /// Ops read path: ask the server for its stats snapshot. Empty payload;
   /// answered immediately with kStats (like QUERY, a stats scrape is never
   /// ordered behind the connection's DATA — an ops probe must not stall on
   /// a busy ingest queue).
@@ -146,14 +134,14 @@ enum class NetFrameType : uint8_t {
   /// Payload: one UTF-8 JSON object (see obs/stats_export.h) — the same
   /// serializer output the SIGUSR1 dump and the JSONL exporter emit.
   kStats = 19,
-  /// v4 trace envelope: u8 inner frame type (kData, kEpochPush or kQuery)
+  /// Trace envelope: u8 inner frame type (kData, kEpochPush or kQuery)
   /// + u64 trace_id + u64 origin_ns, then the inner frame's payload
   /// unchanged to the end of the frame. The receiver unwraps, notes the
   /// trace context, and handles the inner frame exactly as if it had
   /// arrived bare — tracing rides alongside the bytes, it never re-encodes
   /// them.
   kTraced = 20,
-  /// v5 fleet telemetry: a regional node ships its stats snapshot to the
+  /// Fleet telemetry: a regional node ships its stats snapshot to the
   /// central. Payload: a FleetSnapshot (see obs/fleet_stats.h) — u32
   /// region_id, u64 capture timestamp, then the registry's counters,
   /// gauges, and histograms with raw bucket arrays. Like STATS_REQUEST it
@@ -164,7 +152,7 @@ enum class NetFrameType : uint8_t {
   /// Ack for kStatsPush (empty payload): the snapshot is in the central's
   /// per-region fleet store.
   kStatsPushOk = 22,
-  /// v5 fleet read path: ask the central for its merged fleet view. Empty
+  /// Fleet read path: ask the central for its merged fleet view. Empty
   /// payload; answered immediately with kFleetStats.
   kFleetStatsRequest = 23,
   /// Payload: a FleetView (see obs/fleet_stats.h) — every region's last
@@ -209,9 +197,7 @@ enum class DataAckCode : uint8_t {
 /// for that region — the sync a restarted incarnation uses to number its
 /// epochs above everything its predecessor already shipped.
 struct SessionHello {
-  /// The client's protocol version. The server accepts any version in
-  /// [kNetMinVersion, kNetVersion] and answers with the negotiated session
-  /// version (the minimum of the two sides) in HELLO_OK.
+  /// Always kNetVersion from this build; DecodeHello refuses any other.
   uint8_t version = kNetVersion;
   uint32_t k = 0;
   uint32_t m = 0;
@@ -222,6 +208,8 @@ struct SessionHello {
 };
 
 std::vector<uint8_t> EncodeHello(const SessionHello& hello);
+/// Corruption on a bad magic or malformed bytes; FailedPrecondition when the
+/// version is not kNetVersion (the rest of a foreign HELLO is not parsed).
 Result<SessionHello> DecodeHello(std::span<const uint8_t> payload);
 
 /// HELLO_OK payload: protocol version echo plus the server's shard count
@@ -237,6 +225,8 @@ struct SessionHelloOk {
 };
 
 std::vector<uint8_t> EncodeHelloOk(const SessionHelloOk& ok);
+/// Same version rule as DecodeHello: anything but kNetVersion is
+/// FailedPrecondition.
 Result<SessionHelloOk> DecodeHelloOk(std::span<const uint8_t> payload);
 
 /// EPOCH_PUSH_OK result code.
@@ -341,7 +331,7 @@ struct QueryResponse {
 std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& response);
 Result<QueryResponse> DecodeQueryResponse(std::span<const uint8_t> payload);
 
-/// One decoded TRACED envelope (v4): the inner frame type, the trace
+/// One decoded TRACED envelope: the inner frame type, the trace
 /// context, and a zero-copy view of the inner payload.
 struct TracedFrame {
   NetFrameType inner_type = NetFrameType::kData;

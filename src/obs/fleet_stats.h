@@ -1,4 +1,4 @@
-// Fleet stats: the wire shape and central-side store behind LJSP v5
+// Fleet stats: the wire shape and central-side store behind LJSP
 // STATS_PUSH / FLEET_STATS.
 //
 // A FleetSnapshot is one region's registry snapshot — counters, gauges,

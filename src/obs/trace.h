@@ -2,8 +2,8 @@
 //
 // A trace context is two u64s — a trace id and the wall-clock origin
 // timestamp stamped where the batch was encoded — carried on the wire by
-// wrapping a DATA/EPOCH_PUSH/QUERY frame in a TRACED envelope (LJSP v4,
-// see net/protocol.h). Every tier that touches a sampled batch appends one
+// wrapping a DATA/EPOCH_PUSH/QUERY frame in a TRACED envelope (see
+// net/protocol.h). Every tier that touches a sampled batch appends one
 // span {trace_id, stage, start_ns, end_ns} to the process-global TraceLog,
 // so one batch can be followed client encode → server queue → shard absorb
 // → epoch cut → regional ship → central merge → view publish, and the

@@ -113,7 +113,8 @@ TEST(FederationTest, MidEpochDisconnectRetriesToExactlyOnce) {
 
   // The central can answer estimates at the epoch boundary without
   // stopping collection.
-  EXPECT_EQ(central.FinalizedView().total_reports(), partitions[0].size());
+  EXPECT_EQ(central.server().CurrentPublishedView()->reports(),
+            partitions[0].size());
 
   // Chaos: the central kicks every client, killing the region's upstream
   // session mid-collection.

@@ -202,7 +202,7 @@ TEST(FederationWindowedTest, IncrementalViewEqualsRecomputeThroughout) {
     EXPECT_EQ(view.RawWindow().Serialize(), direct.Serialize()) << at;
     LdpJoinSketchServer finalized_direct = std::move(direct);
     finalized_direct.Finalize();
-    EXPECT_EQ(central.WindowedFinalizedView().Serialize(),
+    EXPECT_EQ(central.WindowedPublishedView()->sketch.Serialize(),
               finalized_direct.Serialize())
         << at;
   };
@@ -343,8 +343,8 @@ TEST(FederationWindowedTest, FinalizedViewCachesUntilDirty) {
   LdpJoinSketchServer epoch0_consumed = epoch0;
   view.OnEpochApplied(0, 0, &epoch0_consumed);
 
-  const LdpJoinSketchServer first_read = view.Finalized();
-  const LdpJoinSketchServer second_read = view.Finalized();  // cached
+  const LdpJoinSketchServer first_read = view.Published()->sketch;
+  const LdpJoinSketchServer second_read = view.Published()->sketch;  // cached
   EXPECT_EQ(first_read.Serialize(), second_read.Serialize());
   LdpJoinSketchServer fresh = view.RawWindow();
   fresh.Finalize();
@@ -354,7 +354,8 @@ TEST(FederationWindowedTest, FinalizedViewCachesUntilDirty) {
   epoch1.AbsorbBatch(PerturbColumn(client, 4000, 81));
   LdpJoinSketchServer epoch1_consumed = epoch1;
   view.OnEpochApplied(0, 1, &epoch1_consumed);
-  const LdpJoinSketchServer third_read = view.Finalized();  // recomputed
+  // A new epoch republished: the next read sees the fresh view.
+  const LdpJoinSketchServer third_read = view.Published()->sketch;
   EXPECT_EQ(third_read.total_reports(),
             epoch0.total_reports() + epoch1.total_reports());
   LdpJoinSketchServer both = view.RawWindow();

@@ -13,7 +13,6 @@
 #include "ldp/hcms.h"
 #include "ldp/krr.h"
 #include "ldp/olh.h"
-#include "ldp/oue.h"
 
 namespace ldpjs {
 namespace {
@@ -34,11 +33,6 @@ std::vector<OracleCase> AllOracles() {
          return KrrEstimateFrequencies(c, eps, seed);
        },
        4.0},
-      {"oue",
-       [](const Column& c, double eps, uint64_t seed) {
-         return OueEstimateFrequencies(c, eps, seed);
-       },
-       1.0},
       {"flh",
        [](const Column& c, double eps, uint64_t seed) {
          FlhParams params;
@@ -131,7 +125,7 @@ std::string SweepCaseName(
 
 INSTANTIATE_TEST_SUITE_P(
     MechanismsByEpsilon, OracleSweepTest,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
+    ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values(0.5, 2.0, 6.0)),
     SweepCaseName);
 

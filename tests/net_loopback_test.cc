@@ -40,6 +40,38 @@ std::vector<LdpReport> PerturbColumn(const LdpJoinSketchClient& client,
   return reports;
 }
 
+SessionHello HelloFor(const SketchParams& params, double epsilon) {
+  SessionHello hello;
+  hello.k = static_cast<uint32_t>(params.k);
+  hello.m = static_cast<uint32_t>(params.m);
+  hello.seed = params.seed;
+  hello.epsilon = epsilon;
+  return hello;
+}
+
+Socket ConnectRaw(const FrameServer& server) {
+  auto socket = Socket::ConnectTcp("127.0.0.1", server.port());
+  EXPECT_TRUE(socket.ok()) << socket.status().ToString();
+  // Bounds every read below: a server that leaves the socket open after
+  // its ERROR shows up as DeadlineExceeded instead of the expected EOF.
+  socket->SetRecvTimeout(1);
+  return std::move(*socket);
+}
+
+/// The server's answer to a refused handshake or a rejected frame: one
+/// ERROR carrying `code`, then EOF within the 1 s recv deadline — the
+/// server closes the socket at once rather than leaving it for a later
+/// accept to reap.
+void ExpectErrorThenEof(const Socket& socket, StatusCode code) {
+  auto reply = ReadNetFrame(socket, kMaxControlFramePayload);
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, NetFrameType::kError);
+  EXPECT_EQ(DecodeErrorPayload(reply->payload).code(), code);
+  auto next = ReadNetFrame(socket, kMaxControlFramePayload);
+  EXPECT_EQ(next.status().code(), StatusCode::kNotFound)
+      << next.status().ToString();
+}
+
 TEST(NetLoopbackTest, EstimatesBitIdenticalToInProcessForShardsAndMethods) {
   const JoinWorkload workload = MakeZipfWorkload(1.3, 5000, 20000, /*seed=*/5);
   for (const JoinMethod method :
@@ -149,12 +181,132 @@ TEST(NetLoopbackTest, HelloMismatchRejectedAndCounted) {
       FrameSender::Connect("127.0.0.1", server.port(), params, 2.5);
   EXPECT_FALSE(wrong_epsilon.ok());
 
+  // Every refused handshake closes the socket right after its ERROR.
+  {  // Mismatched params.
+    Socket socket = ConnectRaw(server);
+    SessionHello hello = HelloFor(params, 2.0);
+    hello.k = 4;
+    ASSERT_TRUE(
+        WriteNetFrame(socket, NetFrameType::kHello, EncodeHello(hello)).ok());
+    ExpectErrorThenEof(socket, StatusCode::kFailedPrecondition);
+  }
+  {  // An undecodable HELLO.
+    Socket socket = ConnectRaw(server);
+    const std::vector<uint8_t> garbage(12, 0xAB);
+    ASSERT_TRUE(WriteNetFrame(socket, NetFrameType::kHello, garbage).ok());
+    ExpectErrorThenEof(socket, StatusCode::kCorruption);
+  }
+  {  // A first frame that is not HELLO.
+    Socket socket = ConnectRaw(server);
+    ASSERT_TRUE(WriteNetFrame(socket, NetFrameType::kPing, {}).ok());
+    ExpectErrorThenEof(socket, StatusCode::kCorruption);
+  }
+
   // A matching client still gets in afterwards.
   auto good = FrameSender::Connect("127.0.0.1", server.port(), params, 2.0);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   ASSERT_TRUE(good->Finish().ok());
   server.Stop();
-  EXPECT_EQ(server.metrics().handshakes_rejected, 2u);
+  const NetMetrics metrics = server.metrics();
+  EXPECT_EQ(metrics.handshakes_rejected, 3u);
+  EXPECT_EQ(metrics.corrupt_frames_rejected, 2u);
+}
+
+// There is one protocol version: a HELLO carrying any other is a refused
+// handshake, exactly like a params mismatch.
+TEST(NetLoopbackTest, HelloWithAnotherVersionIsRefused) {
+  const SketchParams params = TestParams();
+  FrameServer server(params, 2.0, FrameServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  Socket socket = ConnectRaw(server);
+  SessionHello hello = HelloFor(params, 2.0);
+  hello.version = kNetVersion - 1;
+  ASSERT_TRUE(
+      WriteNetFrame(socket, NetFrameType::kHello, EncodeHello(hello)).ok());
+  ExpectErrorThenEof(socket, StatusCode::kFailedPrecondition);
+
+  server.Stop();
+  EXPECT_EQ(server.metrics().handshakes_rejected, 1u);
+  EXPECT_EQ(server.metrics().corrupt_frames_rejected, 0u);
+}
+
+// The client side of the same rule: a server answering HELLO_OK with
+// another version fails Connect, before any frame of the session is sent.
+TEST(NetLoopbackTest, HelloOkWithAnotherVersionFailsConnect) {
+  const SketchParams params = TestParams();
+  auto listener = Socket::ListenTcp(0);
+  ASSERT_TRUE(listener.ok());
+  std::thread old_server([&] {
+    auto conn = listener->Accept();
+    ASSERT_TRUE(conn.ok());
+    auto hello = ReadNetFrame(*conn, kMaxIngestFramePayload);
+    ASSERT_TRUE(hello.ok());
+    ASSERT_EQ(hello->type, NetFrameType::kHello);
+    SessionHelloOk ok;
+    ok.version = 4;
+    ok.num_shards = 1;
+    ASSERT_TRUE(
+        WriteNetFrame(*conn, NetFrameType::kHelloOk, EncodeHelloOk(ok)).ok());
+    // The client hangs up without sending anything else.
+    EXPECT_EQ(ReadNetFrame(*conn, kMaxIngestFramePayload).status().code(),
+              StatusCode::kNotFound);
+  });
+  {
+    auto sender = FrameSender::Connect("127.0.0.1", listener->local_port(),
+                                       params, 2.0);
+    EXPECT_EQ(sender.status().code(), StatusCode::kFailedPrecondition);
+  }
+  old_server.join();
+}
+
+// The route table: after a good HELLO, every frame type that is not a
+// client request — a second HELLO, any server→client type — is a protocol
+// violation: ERROR(Corruption), EOF, one corrupt frame counted, and the
+// server keeps serving everyone else bit-identically.
+TEST(NetLoopbackTest, NonRequestFrameTypesAreRejected) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  FrameServerOptions options;
+  options.num_shards = 2;
+  FrameServer server(params, epsilon, options);
+  ASSERT_TRUE(server.Start().ok());
+  const std::vector<uint8_t> hello = EncodeHello(HelloFor(params, epsilon));
+
+  uint64_t corrupt = 0;
+  for (const NetFrameType type :
+       {NetFrameType::kHello, NetFrameType::kHelloOk, NetFrameType::kDataAck,
+        NetFrameType::kSnapshotData, NetFrameType::kFinalizeOk,
+        NetFrameType::kByeOk, NetFrameType::kError,
+        NetFrameType::kEpochPushOk, NetFrameType::kPingOk,
+        NetFrameType::kQueryOk, NetFrameType::kStats,
+        NetFrameType::kStatsPushOk, NetFrameType::kFleetStats}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    Socket socket = ConnectRaw(server);
+    ASSERT_TRUE(WriteNetFrame(socket, NetFrameType::kHello, hello).ok());
+    auto hello_ok = ReadNetFrame(socket, kMaxControlFramePayload);
+    ASSERT_TRUE(hello_ok.ok() && hello_ok->type == NetFrameType::kHelloOk);
+    const std::vector<uint8_t> payload =
+        type == NetFrameType::kHello ? hello : std::vector<uint8_t>{};
+    ASSERT_TRUE(WriteNetFrame(socket, type, payload).ok());
+    ExpectErrorThenEof(socket, StatusCode::kCorruption);
+    EXPECT_EQ(server.metrics().corrupt_frames_rejected, ++corrupt);
+  }
+
+  LdpJoinSketchClient client(params, epsilon);
+  const std::vector<LdpReport> reports = PerturbColumn(client, 5000, 41);
+  auto sender =
+      FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  ASSERT_TRUE(sender->SendReports(reports).ok());
+  ASSERT_TRUE(sender->Finish().ok());
+  server.Stop();
+  EXPECT_EQ(server.metrics().reports_ingested, reports.size());
+
+  LdpJoinSketchServer direct(params, epsilon);
+  direct.AbsorbBatch(reports);
+  direct.Finalize();
+  EXPECT_EQ(server.Finalize().Serialize(), direct.Serialize());
 }
 
 TEST(NetLoopbackTest, MalformedFramesAreCountedAndServerSurvives) {
@@ -318,8 +470,7 @@ TEST(NetLoopbackTest, PingIsAnIngestBarrier) {
   ASSERT_TRUE(sender->Ping().ok());
   // Everything is in the lanes NOW — no Stop(), no BYE.
   EXPECT_EQ(server.metrics().reports_ingested, reports.size());
-  const LdpJoinSketchServer view = server.FinalizedView();
-  EXPECT_EQ(view.total_reports(), reports.size());
+  EXPECT_EQ(server.CurrentPublishedView()->reports(), reports.size());
   ASSERT_TRUE(sender->Finish().ok());
   server.Stop();
 }

@@ -64,10 +64,13 @@ TEST(NetProtocolTest, HelloRejectsBadMagicVersionAndTruncation) {
     bad[0] ^= 0xFF;  // magic
     EXPECT_EQ(DecodeHello(bad).status().code(), StatusCode::kCorruption);
   }
-  {
+  for (const uint8_t version : {uint8_t{kNetVersion - 1}, uint8_t{99}}) {
+    // Any other version is a handshake mismatch, not corruption.
     std::vector<uint8_t> bad = bytes;
-    bad[4] = 99;  // version
-    EXPECT_EQ(DecodeHello(bad).status().code(), StatusCode::kCorruption);
+    bad[4] = version;
+    EXPECT_EQ(DecodeHello(bad).status().code(),
+              StatusCode::kFailedPrecondition)
+        << "version=" << static_cast<int>(version);
   }
   for (size_t cut = 0; cut < bytes.size(); ++cut) {
     const std::vector<uint8_t> bad(bytes.begin(),
@@ -78,28 +81,6 @@ TEST(NetProtocolTest, HelloRejectsBadMagicVersionAndTruncation) {
     std::vector<uint8_t> bad = bytes;
     bad.push_back(0);  // trailing byte
     EXPECT_EQ(DecodeHello(bad).status().code(), StatusCode::kCorruption);
-  }
-}
-
-TEST(NetProtocolTest, HelloVersionBandIsStrict) {
-  SessionHello hello;
-  hello.k = 18;
-  hello.m = 1024;
-  // v2 peers stay welcome (the band's floor), v3 is the default.
-  hello.version = 2;
-  auto v2 = DecodeHello(EncodeHello(hello));
-  ASSERT_TRUE(v2.ok());
-  EXPECT_EQ(v2->version, 2);
-  hello.version = kNetVersion;
-  auto v3 = DecodeHello(EncodeHello(hello));
-  ASSERT_TRUE(v3.ok());
-  EXPECT_EQ(v3->version, kNetVersion);
-  // v1 (below the floor) and a from-the-future v4 are both rejected.
-  for (const uint8_t version : {uint8_t{1}, uint8_t{kNetVersion + 1}}) {
-    hello.version = version;
-    EXPECT_EQ(DecodeHello(EncodeHello(hello)).status().code(),
-              StatusCode::kCorruption)
-        << "version=" << static_cast<int>(version);
   }
 }
 

@@ -1,6 +1,6 @@
 // Query serving tier end-to-end. The acceptance bar has three parts:
 //
-//  1. Bit identity: every QUERY kind served over a real loopback LJSP v3
+//  1. Bit identity: every QUERY kind served over a real loopback LJSP
 //     session must equal AnswerQuery evaluated in-process on the very view
 //     the server answered from — bit for bit, doubles included — for shard
 //     counts {1, 4}, both join methods' report streams (plain LdpJoinSketch
@@ -10,9 +10,9 @@
 //     OnEpochApplied / ingest / republish must always observe internally
 //     consistent snapshots — every answer corresponds to exactly one
 //     published epoch (these tests run under the CI TSan job).
-//  3. Hostile traffic: v2 peers sending QUERY, garbage payloads, oversized
-//     frames, and unbounded scans all degrade to clean ERRORs — never a
-//     crash, and never a stalled finalize barrier (CI ASan/UBSan job).
+//  3. Hostile traffic: garbage payloads, oversized frames, and unbounded
+//     scans all degrade to clean ERRORs — never a crash, and never a
+//     stalled finalize barrier (CI ASan/UBSan job).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -177,7 +177,6 @@ TEST(NetQueryTest, LifetimeServedAnswersBitIdenticalToInProcess) {
       auto sender =
           FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
       ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-      EXPECT_EQ(sender->negotiated_version(), kNetVersion);
       ASSERT_TRUE(
           sender->SendReports(MethodReports(params, epsilon, fap, 20000, 17))
               .ok());
@@ -359,63 +358,6 @@ TEST(NetQueryTest, QueriesUnderSustainedIngestSeeOnlyWholeBatches) {
   ingest.join();
   ASSERT_TRUE(querier->Finish().ok());
   server.Stop();
-}
-
-TEST(NetQueryTest, V2SessionsCannotQuery) {
-  const SketchParams params = TestParams();
-  const double epsilon = 2.0;
-  FrameServerOptions options;
-  FrameServer server(params, epsilon, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  // Well-behaved v2 client: FrameSender refuses locally, session unharmed.
-  FrameSender::Options v2;
-  v2.announce_version = 2;
-  auto sender =
-      FrameSender::Connect("127.0.0.1", server.port(), params, epsilon, v2);
-  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-  EXPECT_EQ(sender->negotiated_version(), 2);
-  QueryRequest request;
-  request.kind = QueryKind::kFrequency;
-  auto served = sender->Query(request);
-  EXPECT_EQ(served.status().code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(sender->Finish().ok());
-
-  // Hostile v2 peer that sends the QUERY anyway: ERROR + close, counted.
-  SessionHello hello_fields;
-  hello_fields.version = 2;
-  hello_fields.k = static_cast<uint32_t>(params.k);
-  hello_fields.m = static_cast<uint32_t>(params.m);
-  hello_fields.seed = params.seed;
-  hello_fields.epsilon = epsilon;
-  auto socket = Socket::ConnectTcp("127.0.0.1", server.port());
-  ASSERT_TRUE(socket.ok());
-  ASSERT_TRUE(
-      WriteNetFrame(*socket, NetFrameType::kHello, EncodeHello(hello_fields))
-          .ok());
-  auto hello_ok = ReadNetFrame(*socket, kMaxControlFramePayload);
-  ASSERT_TRUE(hello_ok.ok() && hello_ok->type == NetFrameType::kHelloOk);
-  auto session = DecodeHelloOk(hello_ok->payload);
-  ASSERT_TRUE(session.ok());
-  EXPECT_EQ(session->version, 2);  // negotiated down to the peer's version
-  ASSERT_TRUE(WriteNetFrame(*socket, NetFrameType::kQuery,
-                            EncodeQueryRequest(request))
-                  .ok());
-  auto reply = ReadNetFrame(*socket, kMaxControlFramePayload);
-  ASSERT_TRUE(reply.ok());
-  ASSERT_EQ(reply->type, NetFrameType::kError);
-  EXPECT_EQ(DecodeErrorPayload(reply->payload).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(ReadNetFrame(*socket, kMaxControlFramePayload).ok());
-
-  // The server is unharmed: a v3 client still gets answers.
-  auto v3 = FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
-  ASSERT_TRUE(v3.ok());
-  auto answered = v3->Query(request);
-  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
-  ASSERT_TRUE(v3->Finish().ok());
-  server.Stop();
-  EXPECT_GE(server.metrics().queries_rejected, 1u);
 }
 
 TEST(NetQueryTest, HostileQueryPayloadsDegradeCleanlyAndNeverStallFinalize) {

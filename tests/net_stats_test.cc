@@ -1,13 +1,12 @@
 // The stats surface: one serializer behind NetMetricsToJson, the SIGUSR1
-// dump, the JSONL exporter, and the LJSP v4 STATS frame. The acceptance
+// dump, the JSONL exporter, and the LJSP STATS frame. The acceptance
 // bar has three parts:
 //   1. Schema compatibility — every NetMetrics JSON key that existed
 //      before the observability layer still appears, by exact name, so
 //      dashboards scraping the SIGUSR1 dump survive the upgrade.
 //   2. The STATS frame round-trips the same JSON over a live session,
 //      including the derived ingest-to-queryable SLO keys and the obs
-//      registry section — and is refused on a pre-v4 session without
-//      touching the wire.
+//      registry section.
 //   3. Per-kind query rejections surface as their own rows.
 #include <cstdint>
 #include <string>

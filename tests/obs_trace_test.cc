@@ -1,11 +1,10 @@
 // Trace propagation end-to-end. The acceptance bar: a traced batch sent
-// over a real loopback LJSP v4 session leaves exactly one span per tier it
+// over a real loopback LJSP session leaves exactly one span per tier it
 // crossed — client_send → server_queue → shard_absorb → view_publish on the
 // serve tier, plus epoch_cut → regional_ship → central_merge on the
 // federated path — with timestamps that never run backwards, and its
 // origin-to-publish latency lands in the registry's ingest_to_queryable_ns
-// histogram. Untraced peers (v3 sessions) must keep working with traced
-// senders, frames unchanged.
+// histogram.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -74,7 +73,6 @@ TEST(ObsTraceTest, ServeTierSpansMonotone) {
   auto sender =
       FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
   ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-  ASSERT_EQ(sender->negotiated_version(), kNetVersion);
 
   const uint64_t i2q_before = MetricsRegistry::Default()
                                   .HistogramByName("ingest_to_queryable_ns")
@@ -135,37 +133,6 @@ TEST(ObsTraceTest, SampledSendsTraceEveryNth) {
   // Batches 0 and 4 were sampled: two client_send spans (plus their
   // server-side spans) joined the log.
   EXPECT_GE(TraceLog::Global().size(), log_before + 2);
-  ASSERT_TRUE(sender->Finish().ok());
-  server.Stop();
-}
-
-TEST(ObsTraceTest, V3SessionDropsTraceButDelivers) {
-  const SketchParams params = TestParams();
-  const double epsilon = 2.0;
-  FrameServer server(params, epsilon, FrameServerOptions{});
-  ASSERT_TRUE(server.Start().ok());
-
-  FrameSender::Options sender_options;
-  sender_options.announce_version = 3;
-  sender_options.trace_every = 1;  // would trace every batch on v4
-  auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
-                                     epsilon, sender_options);
-  ASSERT_TRUE(sender.ok());
-  ASSERT_EQ(sender->negotiated_version(), 3u);
-
-  TraceContext trace;
-  trace.trace_id = 0xD15EA5EDull;
-  trace.origin_ns = NowNanos();
-  const std::vector<uint8_t> batch = EncodedBatch(params, epsilon, 200, 4);
-  ASSERT_TRUE(sender->SendEncodedBatch(batch).ok());
-  ASSERT_TRUE(sender->SendTracedBatch(batch, trace).ok());
-  ASSERT_TRUE(sender->Ping().ok());
-  // Both batches were delivered plain; nothing traced on this session.
-  EXPECT_EQ(server.metrics().reports_ingested, 400u);
-  EXPECT_TRUE(TraceLog::Global().Collect(trace.trace_id).empty());
-  // And the v4-only STATS frame is refused client-side.
-  EXPECT_EQ(sender->Stats().status().code(),
-            StatusCode::kFailedPrecondition);
   ASSERT_TRUE(sender->Finish().ok());
   server.Stop();
 }

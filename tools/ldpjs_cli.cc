@@ -40,10 +40,10 @@
 // water/per-region counters plus the obs registry's latency histograms —
 // and can append the same JSON periodically with --stats-jsonl FILE
 // --stats-period N. `ldpjs_cli stats --port P [--watch N]` scrapes the
-// identical snapshot from a live server over LJSP v4 (see RunStats);
+// identical snapshot from a live server over LJSP (see RunStats);
 // `stats --cluster` and `top` scrape the central's fleet view — per-region
-// STATS_PUSH snapshots, exactly-merged cluster histograms, health states —
-// over LJSP v5 (see RunTop).
+// STATS_PUSH snapshots, exactly-merged cluster histograms, health states
+// (see RunTop).
 //
 // Chaos mode:
 //
@@ -487,7 +487,7 @@ int RunFederateCentral(int argc, char** argv) {
     if (central.windowed()) {
       // The windowed deployment's answer: the last --window aligned
       // epochs, from the incrementally cached view.
-      sketch = central.WindowedFinalizedView();
+      sketch = central.WindowedPublishedView()->sketch;
       const WindowedView& window = *central.window();
       std::printf(
           "windowed view: W=%llu frontier=%s epochs_in_window=%llu "
@@ -544,9 +544,8 @@ int RunFederateRegion(int argc, char** argv) {
                "seconds a ship may wait on a hung central for any ack "
                "before reconnect+retry (0 = wait forever)");
   flags.Define("stats-push-ms", "1000",
-               "ship this region's stats snapshot to the central (LJSP v5 "
-               "STATS_PUSH) at most every this many ms (0 = off; silently "
-               "off against a v4-or-older central)");
+               "ship this region's stats snapshot to the central (LJSP "
+               "STATS_PUSH) at most every this many ms (0 = off)");
   flags.Parse(argc, argv);
 
   bool policy_ok = false;
@@ -643,7 +642,7 @@ int RunSend(int argc, char** argv) {
   flags.Define("trace-every", "32",
                "wrap every Nth DATA batch in a TRACED envelope so the "
                "server can measure ingest-to-queryable latency end to end "
-               "(0 = off; ignored by pre-v4 servers — frames stay plain)");
+               "(0 = off)");
   flags.Parse(argc, argv);
 
   const std::string table = flags.GetString("table");
@@ -707,8 +706,7 @@ int RunSend(int argc, char** argv) {
       return 1;
     }
   }
-  if (sender_options.trace_every > 0 &&
-      sender->negotiated_version() >= 4) {
+  if (sender_options.trace_every > 0) {
     // The PING barrier makes the server absorb (and republish past) every
     // traced batch above, so the final stats already hold their
     // ingest-to-queryable samples when this sender exits.
@@ -811,7 +809,7 @@ int RunEstimate(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// query: the LJSP v3 read path. One query against a live serve /
+// query: the LJSP read path. One query against a live serve /
 // federate-central instance's published view — join size, frequency,
 // frequent items, multiway chain, or AQP range estimates — without
 // interrupting collection. `--check 1` additionally fetches the server's
@@ -953,7 +951,7 @@ int RunQuery(int argc, char** argv) {
     return 1;
   }
   std::printf("kind           : %s (LJSP v%u)\n", kind_name.c_str(),
-              static_cast<unsigned>(sender->negotiated_version()));
+              static_cast<unsigned>(kNetVersion));
   std::printf("view           : seq=%llu %s reports=%llu\n",
               static_cast<unsigned long long>(response->view_sequence),
               response->view_aligned
@@ -1028,7 +1026,7 @@ int RunQuery(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// stats: the LJSP v4/v5 ops path. Scrape a live server's stats snapshot —
+// stats: the LJSP ops path. Scrape a live server's stats snapshot —
 // counters, per-tier latency histograms, and the end-to-end
 // ingest-to-queryable percentiles — as one JSON line, without interrupting
 // collection (STATS is answered immediately, never ordered behind ingest).
@@ -1052,7 +1050,7 @@ int RunStats(int argc, char** argv) {
   flags.Define("cluster", "0",
                "1 = scrape the fleet view (per-region STATS_PUSH snapshots "
                "+ exactly-merged cluster histograms + health roll-up) "
-               "instead of the server's own stats; needs LJSP v5");
+               "instead of the server's own stats");
   flags.Parse(argc, argv);
 
   const SketchParams params = SketchFromFlags(flags);
@@ -1070,7 +1068,11 @@ int RunStats(int argc, char** argv) {
     if (!sender.has_value()) {
       auto connected = FrameSender::Connect(host, port, params, epsilon);
       if (!connected.ok()) {
-        if (watch <= 0) {
+        // FailedPrecondition is a refused handshake (params or protocol
+        // version mismatch): reconnecting can never fix it, so fail fast
+        // even under --watch rather than retrying forever.
+        if (watch <= 0 ||
+            connected.status().code() == StatusCode::kFailedPrecondition) {
           std::fprintf(stderr, "connect failed: %s\n",
                        connected.status().ToString().c_str());
           return 1;
@@ -1103,10 +1105,9 @@ int RunStats(int argc, char** argv) {
       }
     }
     if (!scrape.ok()) {
-      // FailedPrecondition is the version gate (server too old for this
-      // scrape) — reconnecting can never fix it, so fail fast even under
-      // --watch rather than retrying forever against the wrong peer.
-      if (watch <= 0 || scrape.code() == StatusCode::kFailedPrecondition) {
+      // A scrape failure on an established session is transport trouble:
+      // under --watch, reconnect (the handshake re-checks compatibility).
+      if (watch <= 0) {
         std::fprintf(stderr, "stats failed: %s\n",
                      scrape.ToString().c_str());
         return 1;
@@ -1234,6 +1235,13 @@ int RunTop(int argc, char** argv) {
     if (!sender.has_value()) {
       auto connected = FrameSender::Connect(host, port, params, epsilon);
       if (!connected.ok()) {
+        if (connected.status().code() == StatusCode::kFailedPrecondition) {
+          // A refused handshake (params or protocol version mismatch):
+          // reconnecting can never fix it.
+          std::fprintf(stderr, "connect failed: %s\n",
+                       connected.status().ToString().c_str());
+          return 1;
+        }
         std::fprintf(stderr, "connect failed (%s); retrying\n",
                      connected.status().ToString().c_str());
         backoff.SleepNext();
@@ -1244,11 +1252,7 @@ int RunTop(int argc, char** argv) {
     }
     auto view = sender->FleetStats();
     if (!view.ok()) {
-      if (view.status().code() == StatusCode::kFailedPrecondition) {
-        std::fprintf(stderr, "top failed: %s\n",
-                     view.status().ToString().c_str());
-        return 1;  // the version gate; reconnecting cannot fix it
-      }
+      // Transport trouble on an established session: reconnect.
       std::fprintf(stderr, "scrape failed (%s); reconnecting\n",
                    view.status().ToString().c_str());
       sender.reset();

@@ -42,6 +42,12 @@ Rules (each has a short slug used in the output):
                   consumer contract (`ldpjs_cli top` and external
                   scrapers parse it); an unasserted key can be renamed or
                   dropped without any test noticing.
+
+  orphan-module   Every src/ header must be reachable by #include from the
+                  code that ships: tools/, bench/ or examples/, following
+                  includes transitively, where reaching a header also
+                  reaches its own .cc. A module whose only consumer is its
+                  own test is dead weight — delete it, or give it a user.
 """
 
 import re
@@ -71,6 +77,12 @@ WALL_CLOCK_ALLOWED = {
 # primitives it wraps.
 MUTEX_ALLOWED = {
     "src/common/thread_annotations.h",
+}
+
+# Headers kept without a shipping consumer, each for a stated reason.
+ORPHAN_ALLOWED = {
+    # The plain AGMS reference oracle: tests pin sketch/fast_agms against it.
+    "src/sketch/agms.h",
 }
 
 # -- helpers -----------------------------------------------------------------
@@ -163,6 +175,47 @@ def check_codec_tests(violations):
             )
 
 
+def check_orphan_modules(violations):
+    include = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
+
+    def resolve(including, name):
+        # Same lookup order the build uses: the including file's directory,
+        # then the src/ and repo-root include paths.
+        for base in (including.parent, SRC, REPO):
+            candidate = base / name
+            if candidate.is_file():
+                return candidate.resolve()
+        return None
+
+    stack = [
+        p.resolve()
+        for root in ("tools", "bench", "examples")
+        for p in (REPO / root).rglob("*")
+        if p.suffix in (".h", ".cc", ".cpp")
+    ]
+    reached = set()
+    while stack:
+        path = stack.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        if path.suffix == ".h" and path.with_suffix(".cc").is_file():
+            stack.append(path.with_suffix(".cc"))
+        for line in path.read_text().splitlines():
+            match = include.match(line)
+            target = match and resolve(path, match.group(1))
+            if target:
+                stack.append(target)
+    for header in sorted(SRC.rglob("*.h")):
+        if header.resolve() in reached or rel(header) in ORPHAN_ALLOWED:
+            continue
+        violations.append(
+            f"{rel(header)}:1: [orphan-module] no #include chain from "
+            "tools/, bench/ or examples/ reaches this header — delete the "
+            "module (and its tests) or give it a consumer"
+        )
+
+
 def check_json_key_tests(violations):
     # JSON keys appear in C++ string literals as \"key\": — collect every
     # key src/ emits, then require the bare token somewhere in tests/.
@@ -189,6 +242,7 @@ def main():
     check_no_wall_clock(violations)
     check_codec_tests(violations)
     check_json_key_tests(violations)
+    check_orphan_modules(violations)
     if violations:
         for v in violations:
             print(v)
