@@ -10,15 +10,25 @@ void ValidateRange(const LdpJoinSketchServer& sketch,
   LDPJS_CHECK(sketch.finalized());
   LDPJS_CHECK(range.lo <= range.hi);
 }
+
+/// Calls visit(d) for d = lo, lo + 1, ..., hi in ascending order. The loop
+/// stops after visiting hi instead of testing d <= hi, which never fails
+/// when hi == UINT64_MAX (d wraps to 0).
+template <typename Visit>
+void ForEachValue(const ValueRange& range, const Visit& visit) {
+  for (uint64_t d = range.lo;; ++d) {
+    visit(d);
+    if (d == range.hi) return;
+  }
+}
 }  // namespace
 
 double RangeCountEstimate(const LdpJoinSketchServer& sketch,
                           const ValueRange& range) {
   ValidateRange(sketch, range);
   double total = 0.0;
-  for (uint64_t d = range.lo; d <= range.hi; ++d) {
-    total += sketch.FrequencyEstimate(d);
-  }
+  ForEachValue(range,
+               [&](uint64_t d) { total += sketch.FrequencyEstimate(d); });
   return total;
 }
 
@@ -27,9 +37,9 @@ double RangeWeightedSumEstimate(
     const std::function<double(uint64_t)>& weight) {
   ValidateRange(sketch, range);
   double total = 0.0;
-  for (uint64_t d = range.lo; d <= range.hi; ++d) {
+  ForEachValue(range, [&](uint64_t d) {
     total += weight(d) * sketch.FrequencyEstimate(d);
-  }
+  });
   return total;
 }
 
@@ -40,9 +50,9 @@ double PredicateJoinEstimate(const LdpJoinSketchServer& sketch_a,
   ValidateRange(sketch_b, range);
   LDPJS_CHECK(sketch_a.params().seed == sketch_b.params().seed);
   double total = 0.0;
-  for (uint64_t d = range.lo; d <= range.hi; ++d) {
+  ForEachValue(range, [&](uint64_t d) {
     total += sketch_a.FrequencyEstimate(d) * sketch_b.FrequencyEstimate(d);
-  }
+  });
   return total;
 }
 
@@ -50,9 +60,9 @@ uint64_t SupportSizeEstimate(const LdpJoinSketchServer& sketch,
                              const ValueRange& range, double floor) {
   ValidateRange(sketch, range);
   uint64_t support = 0;
-  for (uint64_t d = range.lo; d <= range.hi; ++d) {
+  ForEachValue(range, [&](uint64_t d) {
     if (sketch.FrequencyEstimate(d) > floor) ++support;
-  }
+  });
   return support;
 }
 

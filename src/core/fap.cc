@@ -5,7 +5,7 @@
 namespace ldpjs {
 
 FapClient::FapClient(const SketchParams& params, double epsilon, FapMode mode,
-                     std::unordered_set<uint64_t> frequent_items)
+                     FrequentItems frequent_items)
     : inner_(params, epsilon),
       mode_(mode),
       frequent_items_(std::move(frequent_items)) {}

@@ -11,12 +11,15 @@
 // Which values are targets depends on the sketch being built:
 //   mode = kHigh: targets are d ∈ FI  (sketch of high-frequency items)
 //   mode = kLow : targets are d ∉ FI  (sketch of low-frequency items)
+//
+// The client holds FI as the phase-1 bitset (FrequentItems), so the target
+// test on every report is one bit test, however large FI is.
 #ifndef LDPJS_CORE_FAP_H_
 #define LDPJS_CORE_FAP_H_
 
 #include <cstdint>
-#include <unordered_set>
 
+#include "core/freq_items.h"
 #include "core/ldp_join_sketch.h"
 
 namespace ldpjs {
@@ -30,7 +33,7 @@ class FapClient {
  public:
   /// `frequent_items` is the public FI set broadcast by the server.
   FapClient(const SketchParams& params, double epsilon, FapMode mode,
-            std::unordered_set<uint64_t> frequent_items);
+            FrequentItems frequent_items);
 
   /// Algorithm 4. O(1) per call.
   LdpReport Perturb(uint64_t value, Xoshiro256& rng) const;
@@ -45,15 +48,12 @@ class FapClient {
   bool IsTarget(uint64_t value) const;
 
   FapMode mode() const { return mode_; }
-  const std::unordered_set<uint64_t>& frequent_items() const {
-    return frequent_items_;
-  }
   const LdpJoinSketchClient& inner_client() const { return inner_; }
 
  private:
   LdpJoinSketchClient inner_;
   FapMode mode_;
-  std::unordered_set<uint64_t> frequent_items_;
+  FrequentItems frequent_items_;
 };
 
 }  // namespace ldpjs

@@ -6,33 +6,64 @@
 
 namespace ldpjs {
 
+FrequentItems::FrequentItems(uint64_t domain, std::vector<uint64_t> words)
+    : domain_(domain), words_(std::move(words)) {
+  LDPJS_CHECK(words_.size() == WordCount(domain_));
+  if (domain_ % 64 != 0) LDPJS_CHECK((words_.back() >> (domain_ % 64)) == 0);
+  for (const uint64_t word : words_) size_ += std::popcount(word);
+}
+
+uint64_t FrequentItems::NextMember(uint64_t from) const {
+  if (from >= domain_) return domain_;
+  size_t w = static_cast<size_t>(from >> 6);
+  uint64_t bits = words_[w] & (~uint64_t{0} << (from & 63));
+  while (bits == 0) {
+    if (++w == words_.size()) return domain_;
+    bits = words_[w];
+  }
+  return (static_cast<uint64_t>(w) << 6) +
+         static_cast<uint64_t>(std::countr_zero(bits));
+}
+
 namespace {
 
-/// Evaluates `hot(d)` for every d in [0, domain) — sharded across the
-/// shared pool for large domains (each evaluation is an O(k) sketch scan) —
-/// and returns the flagged values in ascending order, matching the
-/// insertion order of a serial scan exactly.
-template <typename HotFn>
-std::unordered_set<uint64_t> CollectHotValues(uint64_t domain, size_t work,
-                                              const HotFn& hot) {
-  std::unordered_set<uint64_t> items;
-  if (work < kMinSharedParallelWork) {
-    for (uint64_t d = 0; d < domain; ++d) {
-      if (hot(d)) items.insert(d);
+static_assert(kFrequentScanBlock % 64 == 0,
+              "a scan block must own whole bitset words");
+
+/// Clamped f̂ sums over the FI keys of one scan block.
+struct BlockMass {
+  double a = 0.0;
+  double b = 0.0;
+};
+
+/// Walks [0, domain) in kFrequentScanBlock-key blocks on the shared pool;
+/// `visit(d, mass)` says whether d is frequent and may add d's estimates to
+/// its block's `mass`. Blocks own disjoint bitset words, each block sums in
+/// ascending key order and the block masses are added in block order, so
+/// the result does not depend on the worker count.
+template <typename Visit>
+FrequentItemsScan ScanDomain(uint64_t domain, size_t work,
+                             const Visit& visit) {
+  std::vector<uint64_t> words(FrequentItems::WordCount(domain), 0);
+  const size_t blocks = static_cast<size_t>(
+      (domain + kFrequentScanBlock - 1) / kFrequentScanBlock);
+  std::vector<BlockMass> masses(blocks);
+  SharedParallelFor(blocks, work, [&](size_t, size_t begin, size_t end) {
+    for (size_t block = begin; block < end; ++block) {
+      const uint64_t first = block * kFrequentScanBlock;
+      const uint64_t last = std::min(domain, first + kFrequentScanBlock);
+      for (uint64_t d = first; d < last; ++d) {
+        if (visit(d, masses[block])) words[d >> 6] |= uint64_t{1} << (d & 63);
+      }
     }
-    return items;
+  });
+  FrequentItemsScan scan;
+  scan.items = FrequentItems(domain, std::move(words));
+  for (const BlockMass& mass : masses) {
+    scan.mass_a += mass.a;
+    scan.mass_b += mass.b;
   }
-  std::vector<uint8_t> flags(domain, 0);
-  SharedParallelFor(static_cast<size_t>(domain), work,
-                    [&](size_t, size_t begin, size_t end) {
-                      for (size_t d = begin; d < end; ++d) {
-                        flags[d] = hot(static_cast<uint64_t>(d)) ? 1 : 0;
-                      }
-                    });
-  for (uint64_t d = 0; d < domain; ++d) {
-    if (flags[d]) items.insert(d);
-  }
-  return items;
+  return scan;
 }
 
 size_t ScanWork(const LdpJoinSketchServer& sketch, uint64_t domain) {
@@ -41,32 +72,50 @@ size_t ScanWork(const LdpJoinSketchServer& sketch, uint64_t domain) {
 
 }  // namespace
 
-std::unordered_set<uint64_t> FindFrequentItems(
-    const LdpJoinSketchServer& sketch, uint64_t domain, double threshold) {
-  return CollectHotValues(domain, ScanWork(sketch, domain), [&](uint64_t d) {
-    return sketch.FrequencyEstimate(d) > threshold;
-  });
+FrequentItems FindFrequentItems(const LdpJoinSketchServer& sketch,
+                                uint64_t domain, double threshold) {
+  return ScanDomain(domain, ScanWork(sketch, domain),
+                    [&](uint64_t d, BlockMass&) {
+                      return sketch.FrequencyEstimate(d) > threshold;
+                    })
+      .items;
 }
 
-std::unordered_set<uint64_t> FindFrequentItemsUnion(
-    const LdpJoinSketchServer& sketch_a, const LdpJoinSketchServer& sketch_b,
-    uint64_t domain, double threshold_a, double threshold_b) {
-  return CollectHotValues(
+FrequentItemsScan FindFrequentItemsUnion(const LdpJoinSketchServer& sketch_a,
+                                         const LdpJoinSketchServer& sketch_b,
+                                         uint64_t domain, double threshold_a,
+                                         double threshold_b) {
+  LDPJS_CHECK(sketch_a.finalized() && sketch_b.finalized());
+  const SketchParams& params = sketch_a.params();
+  LDPJS_CHECK(params.k == sketch_b.params().k &&
+              params.m == sketch_b.params().m &&
+              params.seed == sketch_b.params().seed);
+  // Equal (k, m, seed) means equal hash rows, so each row's (bucket, sign)
+  // serves both sketches.
+  const std::vector<RowHashes>& rows = sketch_a.row_hashes();
+  const int k = params.k;
+  return ScanDomain(
       domain, ScanWork(sketch_a, domain) + ScanWork(sketch_b, domain),
-      [&](uint64_t d) {
-        return sketch_a.FrequencyEstimate(d) > threshold_a ||
-               sketch_b.FrequencyEstimate(d) > threshold_b;
+      [&](uint64_t d, BlockMass& mass) {
+        // FrequencyEstimate's sum, term for term, for both sketches.
+        double acc_a = 0.0;
+        double acc_b = 0.0;
+        for (int j = 0; j < k; ++j) {
+          const RowHashes& row = rows[static_cast<size_t>(j)];
+          const int bucket = static_cast<int>(row.bucket(d));
+          const int sign = row.sign(d);
+          acc_a += sketch_a.cell(j, bucket) * sign;
+          acc_b += sketch_b.cell(j, bucket) * sign;
+        }
+        const double f_a = acc_a / static_cast<double>(k);
+        const double f_b = acc_b / static_cast<double>(k);
+        const bool frequent = f_a > threshold_a || f_b > threshold_b;
+        if (frequent) {
+          mass.a += std::max(0.0, f_a);
+          mass.b += std::max(0.0, f_b);
+        }
+        return frequent;
       });
-}
-
-double EstimateFrequentMass(const LdpJoinSketchServer& sketch,
-                            const std::unordered_set<uint64_t>& items,
-                            double scale) {
-  double mass = 0.0;
-  for (uint64_t d : items) {
-    mass += std::max(0.0, sketch.FrequencyEstimate(d));
-  }
-  return mass * scale;
 }
 
 }  // namespace ldpjs

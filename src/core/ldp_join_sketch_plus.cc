@@ -1,8 +1,11 @@
 #include "core/ldp_join_sketch_plus.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "core/freq_items.h"
 
 namespace ldpjs {
@@ -25,26 +28,30 @@ struct Partition {
 
 Partition PartitionUsers(const Column& column, double sample_rate,
                          uint64_t seed) {
-  Partition out;
-  std::vector<uint64_t> sample, group1, group2;
-  sample.reserve(static_cast<size_t>(
-      static_cast<double>(column.size()) * sample_rate * 1.1));
-  group1.reserve(column.size() / 2 + 1);
-  group2.reserve(column.size() / 2 + 1);
-  for (size_t i = 0; i < column.size(); ++i) {
-    Xoshiro256 rng =
-        MakeStreamRng(seed ^ 0x5bf03635ULL, static_cast<uint64_t>(i));
-    if (rng.NextBernoulli(sample_rate)) {
-      sample.push_back(column[i]);
-    } else if (rng.NextBernoulli(0.5)) {
-      group1.push_back(column[i]);
-    } else {
-      group2.push_back(column[i]);
+  // User i's group depends only on (seed, i), so users are classified on
+  // the shared pool and then gathered in row order.
+  const size_t rows = column.size();
+  std::vector<uint8_t> group(rows);
+  SharedParallelFor(rows, rows, [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Xoshiro256 rng =
+          MakeStreamRng(seed ^ 0x5bf03635ULL, static_cast<uint64_t>(i));
+      if (rng.NextBernoulli(sample_rate)) {
+        group[i] = 0;
+      } else {
+        group[i] = rng.NextBernoulli(0.5) ? 1 : 2;
+      }
     }
-  }
-  out.sample = Column(std::move(sample), column.domain());
-  out.group1 = Column(std::move(group1), column.domain());
-  out.group2 = Column(std::move(group2), column.domain());
+  });
+  std::array<size_t, 3> sizes{};
+  for (const uint8_t g : group) ++sizes[g];
+  std::array<std::vector<uint64_t>, 3> values;
+  for (size_t g = 0; g < 3; ++g) values[g].reserve(sizes[g]);
+  for (size_t i = 0; i < rows; ++i) values[group[i]].push_back(column[i]);
+  Partition out;
+  out.sample = Column(std::move(values[0]), column.domain());
+  out.group1 = Column(std::move(values[1]), column.domain());
+  out.group2 = Column(std::move(values[2]), column.domain());
   return out;
 }
 
@@ -89,24 +96,23 @@ LdpJoinSketchPlusResult EstimateJoinSizePlus(
   // ---- FI search (server-side, counted as online query prep). ----------
   const auto fi_start = std::chrono::steady_clock::now();
   const double offline_phase1 = SecondsSince(offline_start);
-  const std::unordered_set<uint64_t> frequent_items = FindFrequentItemsUnion(
+  const FrequentItemsScan phase1 = FindFrequentItemsUnion(
       sample_sketch_a, sample_sketch_b, domain,
       params.threshold * static_cast<double>(result.sample_rows_a),
       params.threshold * static_cast<double>(result.sample_rows_b));
+  const FrequentItems& frequent_items = phase1.items;
   result.frequent_item_count = frequent_items.size();
 
   // Estimated full-table FI mass (Algorithm 5 lines 1-4), clamped to the
   // table size — sketch noise can push the raw sum past |A|.
-  result.high_freq_mass_a = std::min(
-      static_cast<double>(table_a.size()),
-      EstimateFrequentMass(sample_sketch_a, frequent_items,
-                           static_cast<double>(table_a.size()) /
-                               static_cast<double>(result.sample_rows_a)));
-  result.high_freq_mass_b = std::min(
-      static_cast<double>(table_b.size()),
-      EstimateFrequentMass(sample_sketch_b, frequent_items,
-                           static_cast<double>(table_b.size()) /
-                               static_cast<double>(result.sample_rows_b)));
+  result.high_freq_mass_a =
+      std::min(static_cast<double>(table_a.size()),
+               phase1.mass_a * (static_cast<double>(table_a.size()) /
+                                static_cast<double>(result.sample_rows_a)));
+  result.high_freq_mass_b =
+      std::min(static_cast<double>(table_b.size()),
+               phase1.mass_b * (static_cast<double>(table_b.size()) /
+                                static_cast<double>(result.sample_rows_b)));
   const double fi_seconds = SecondsSince(fi_start);
 
   // ---- Phase 2: FAP sketches per group. ---------------------------------

@@ -209,7 +209,7 @@ LdpJoinSketchServer BuildLdpJoinSketch(const Column& column,
 
 LdpJoinSketchServer BuildFapSketch(
     const Column& column, const SketchParams& params, double epsilon,
-    FapMode mode, const std::unordered_set<uint64_t>& frequent_items,
+    FapMode mode, const FrequentItems& frequent_items,
     const SimulationOptions& options) {
   FapClient client(params, epsilon, mode, frequent_items);
   return RunProtocol(column, params, epsilon, options, client);

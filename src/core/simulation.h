@@ -18,9 +18,9 @@
 #define LDPJS_CORE_SIMULATION_H_
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "core/fap.h"
+#include "core/freq_items.h"
 #include "core/ldp_join_sketch.h"
 #include "data/column.h"
 
@@ -88,7 +88,7 @@ LdpJoinSketchServer BuildLdpJoinSketch(const Column& column,
 /// Same, but clients perturb with FAP (phase 2 of LDPJoinSketch+).
 LdpJoinSketchServer BuildFapSketch(
     const Column& column, const SketchParams& params, double epsilon,
-    FapMode mode, const std::unordered_set<uint64_t>& frequent_items,
+    FapMode mode, const FrequentItems& frequent_items,
     const SimulationOptions& options);
 
 }  // namespace ldpjs

@@ -1,8 +1,6 @@
 #include "service/query_engine.h"
 
-#include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -78,10 +76,9 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
       if (!std::isfinite(request.threshold)) {
         return Status::InvalidArgument("frequent-items threshold not finite");
       }
-      const std::unordered_set<uint64_t> items =
+      const FrequentItems items =
           FindFrequentItems(view.sketch, request.domain, request.threshold);
-      response.items.assign(items.begin(), items.end());
-      std::sort(response.items.begin(), response.items.end());
+      response.items.assign(items.begin(), items.end());  // ascending
       response.value = static_cast<double>(response.items.size());
       break;
     }

@@ -1,6 +1,9 @@
 #include "core/aqp.h"
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -127,6 +130,40 @@ TEST(AqpTest, NoiseFloorGrowsWithReports) {
   for (int i = 0; i < 100; ++i) small.Absorb(client.Perturb(1, rng));
   for (int i = 0; i < 10000; ++i) big.Absorb(client.Perturb(1, rng));
   EXPECT_GT(NoiseFloorSuggestion(big), NoiseFloorSuggestion(small));
+}
+
+TEST(AqpTest, RangeEndingAtMaxKeyStopsAfterIt) {
+  // A walk that tests d <= hi never ends when hi == UINT64_MAX: d wraps to
+  // 0. The weight callback sees every key visited, so it throws on a
+  // wrapped key instead of letting the test spin.
+  AqpFixture fx;
+  const ValueRange top{UINT64_MAX - 3, UINT64_MAX};
+  std::vector<uint64_t> visited;
+  const auto weight = [&](uint64_t d) {
+    if (d < top.lo) throw std::runtime_error("range walk wrapped to 0");
+    visited.push_back(d);
+    return 1.0;
+  };
+  double weighted = 0.0;
+  ASSERT_NO_THROW(weighted =
+                      RangeWeightedSumEstimate(*fx.sketch_a, top, weight));
+  EXPECT_EQ(visited, (std::vector<uint64_t>{UINT64_MAX - 3, UINT64_MAX - 2,
+                                            UINT64_MAX - 1, UINT64_MAX}));
+  double count = 0.0;
+  double join = 0.0;
+  uint64_t support = 0;
+  for (const uint64_t d : visited) {
+    const double f_a = fx.sketch_a->FrequencyEstimate(d);
+    count += f_a;
+    join += f_a * fx.sketch_b->FrequencyEstimate(d);
+    if (f_a > 0.0) ++support;
+  }
+  EXPECT_EQ(weighted, count);
+  EXPECT_EQ(RangeCountEstimate(*fx.sketch_a, top), count);
+  EXPECT_EQ(PredicateJoinEstimate(*fx.sketch_a, *fx.sketch_b, top), join);
+  EXPECT_EQ(SupportSizeEstimate(*fx.sketch_a, top, 0.0), support);
+  EXPECT_EQ(RangeCountEstimate(*fx.sketch_a, ValueRange{UINT64_MAX, UINT64_MAX}),
+            fx.sketch_a->FrequencyEstimate(UINT64_MAX));
 }
 
 TEST(AqpDeathTest, InvalidRangeAborts) {

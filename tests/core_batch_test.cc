@@ -4,6 +4,7 @@
 // reject pre-integer-lane buffers with a clear error instead of parsing
 // garbage.
 #include <cstring>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,7 @@
 #include "core/fap.h"
 
 #include <cmath>
+#include <unordered_set>
 
 #include <gtest/gtest.h>
 

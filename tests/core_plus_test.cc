@@ -1,6 +1,10 @@
 #include "core/ldp_join_sketch_plus.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <unordered_set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -58,8 +62,8 @@ TEST(FreqItemsTest, UnionCoversBothAttributes) {
   const auto fi = FindFrequentItemsUnion(
       sa, sb, domain, 0.1 * static_cast<double>(a.size()),
       0.1 * static_cast<double>(b.size()));
-  EXPECT_TRUE(fi.contains(0));
-  EXPECT_TRUE(fi.contains(99));
+  EXPECT_TRUE(fi.items.contains(0));
+  EXPECT_TRUE(fi.items.contains(99));
 }
 
 TEST(FreqItemsTest, MassEstimateTracksTruth) {
@@ -67,14 +71,104 @@ TEST(FreqItemsTest, MassEstimateTracksTruth) {
   const JoinWorkload w = MakeZipfWorkload(1.6, domain, 150000, 11);
   SimulationOptions sim;
   sim.run_seed = 13;
-  const LdpJoinSketchServer sketch =
+  const LdpJoinSketchServer sa =
       BuildLdpJoinSketch(w.table_a, TestParams(), 4.0, sim);
-  const std::unordered_set<uint64_t> items{0, 1, 2, 3, 4};
-  const auto freq = w.table_a.Frequencies();
-  double truth = 0;
-  for (uint64_t d : items) truth += static_cast<double>(freq[d]);
-  const double est = EstimateFrequentMass(sketch, items, 1.0);
-  EXPECT_NEAR(est / truth, 1.0, 0.1);
+  sim.run_seed = 14;
+  const LdpJoinSketchServer sb =
+      BuildLdpJoinSketch(w.table_b, TestParams(), 4.0, sim);
+  const FrequentItemsScan fi = FindFrequentItemsUnion(
+      sa, sb, domain, 0.01 * static_cast<double>(w.table_a.size()),
+      0.01 * static_cast<double>(w.table_b.size()));
+  ASSERT_GT(fi.items.size(), 0u);
+  const auto freq_a = w.table_a.Frequencies();
+  const auto freq_b = w.table_b.Frequencies();
+  double truth_a = 0;
+  double truth_b = 0;
+  for (const uint64_t d : fi.items) {
+    truth_a += static_cast<double>(freq_a[d]);
+    truth_b += static_cast<double>(freq_b[d]);
+  }
+  EXPECT_NEAR(fi.mass_a / truth_a, 1.0, 0.1);
+  EXPECT_NEAR(fi.mass_b / truth_b, 1.0, 0.1);
+}
+
+TEST(FreqItemsTest, UnionScanMatchesItsDefinition) {
+  // A domain that crosses the first scan-block boundary.
+  const uint64_t domain = 70000;
+  static_assert(70000 > kFrequentScanBlock);
+  const SketchParams params = TestParams(6, 256);
+  const JoinWorkload w = MakeZipfWorkload(1.1, domain, 200000, 61);
+  SimulationOptions sim;
+  sim.run_seed = 62;
+  const LdpJoinSketchServer sa =
+      BuildLdpJoinSketch(w.table_a, params, 4.0, sim);
+  sim.run_seed = 63;
+  const LdpJoinSketchServer sb =
+      BuildLdpJoinSketch(w.table_b, params, 4.0, sim);
+  const double theta_a = 0.002 * static_cast<double>(w.table_a.size());
+  const double theta_b = 0.003 * static_cast<double>(w.table_b.size());
+  const FrequentItemsScan scan =
+      FindFrequentItemsUnion(sa, sb, domain, theta_a, theta_b);
+
+  // FI = {d : f̂_A(d) > θ_A || f̂_B(d) > θ_B}; each mass sums max(0, f̂)
+  // over FI in ascending order within a block, blocks added in order.
+  std::vector<uint64_t> expected;
+  double mass_a = 0.0;
+  double mass_b = 0.0;
+  for (uint64_t first = 0; first < domain; first += kFrequentScanBlock) {
+    double block_a = 0.0;
+    double block_b = 0.0;
+    for (uint64_t d = first; d < std::min(domain, first + kFrequentScanBlock);
+         ++d) {
+      const double f_a = sa.FrequencyEstimate(d);
+      const double f_b = sb.FrequencyEstimate(d);
+      if (f_a > theta_a || f_b > theta_b) {
+        expected.push_back(d);
+        block_a += std::max(0.0, f_a);
+        block_b += std::max(0.0, f_b);
+      }
+    }
+    mass_a += block_a;
+    mass_b += block_b;
+  }
+  // Both blocks hold members, or the boundary goes untested.
+  ASSERT_FALSE(expected.empty());
+  EXPECT_LT(expected.front(), kFrequentScanBlock);
+  EXPECT_GE(expected.back(), kFrequentScanBlock);
+  EXPECT_EQ(std::vector<uint64_t>(scan.items.begin(), scan.items.end()),
+            expected);
+  EXPECT_EQ(scan.items.size(), expected.size());
+  EXPECT_FALSE(scan.items.contains(domain));
+  EXPECT_EQ(scan.mass_a, mass_a);
+  EXPECT_EQ(scan.mass_b, mass_b);
+
+  // FrequentItems edges: word boundaries, keys at or past the domain,
+  // duplicates, and both implicit conversions.
+  const FrequentItems listed = {65, 63, 64, 63};
+  EXPECT_EQ(listed.size(), 3u);
+  EXPECT_FALSE(listed.contains(62));
+  EXPECT_TRUE(listed.contains(63));
+  EXPECT_TRUE(listed.contains(64));
+  EXPECT_TRUE(listed.contains(65));
+  EXPECT_FALSE(listed.contains(66));
+  EXPECT_FALSE(listed.contains(128));
+  EXPECT_FALSE(listed.contains(UINT64_MAX));
+  EXPECT_EQ(std::vector<uint64_t>(listed.begin(), listed.end()),
+            (std::vector<uint64_t>{63, 64, 65}));
+
+  const std::unordered_set<uint64_t> hashed{200, 3, 64, 127, 128};
+  const FrequentItems converted = hashed;
+  EXPECT_EQ(converted.size(), hashed.size());
+  for (uint64_t d = 0; d < 300; ++d) {
+    EXPECT_EQ(converted.contains(d), hashed.contains(d)) << d;
+  }
+  EXPECT_EQ(std::vector<uint64_t>(converted.begin(), converted.end()),
+            (std::vector<uint64_t>{3, 64, 127, 128, 200}));
+
+  const FrequentItems none = {};
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_TRUE(none.begin() == none.end());
+  EXPECT_FALSE(none.contains(0));
 }
 
 TEST(JoinEstTest, LowModeRemovesHighFrequencyMass) {
@@ -218,11 +312,25 @@ TEST(LdpJoinSketchPlusTest, DeterministicForFixedSeedAndThreads) {
   params.sketch = TestParams(12, 512);
   params.epsilon = 4.0;
   params.simulation.run_seed = 41;
-  params.simulation.num_threads = 2;
+  params.simulation.num_threads = 1;
   const auto r1 = EstimateJoinSizePlus(w.table_a, w.table_b, params);
-  const auto r2 = EstimateJoinSizePlus(w.table_a, w.table_b, params);
-  EXPECT_EQ(r1.estimate, r2.estimate);
-  EXPECT_EQ(r1.frequent_item_count, r2.frequent_item_count);
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    params.simulation.num_threads = threads;
+    const auto r2 = EstimateJoinSizePlus(w.table_a, w.table_b, params);
+    EXPECT_EQ(r1.estimate, r2.estimate);
+    EXPECT_EQ(r1.low_estimate, r2.low_estimate);
+    EXPECT_EQ(r1.high_estimate, r2.high_estimate);
+    EXPECT_EQ(r1.frequent_item_count, r2.frequent_item_count);
+    EXPECT_EQ(r1.high_freq_mass_a, r2.high_freq_mass_a);
+    EXPECT_EQ(r1.high_freq_mass_b, r2.high_freq_mass_b);
+    EXPECT_EQ(r1.sample_rows_a, r2.sample_rows_a);
+    EXPECT_EQ(r1.sample_rows_b, r2.sample_rows_b);
+    for (int g = 0; g < 2; ++g) {
+      EXPECT_EQ(r1.group_rows_a[g], r2.group_rows_a[g]);
+      EXPECT_EQ(r1.group_rows_b[g], r2.group_rows_b[g]);
+    }
+  }
 }
 
 TEST(LdpJoinSketchPlusTest, HighFreqMassClampedToTableSize) {

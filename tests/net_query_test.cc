@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -430,6 +431,22 @@ TEST(NetQueryTest, HostileQueryPayloadsDegradeCleanlyAndNeverStallFinalize) {
     auto rejected = sender->Query(join);
     EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
   }
+  // Ranges that end at the top of the key space are answered: a range walk
+  // that tested d <= hi wrapped past UINT64_MAX to 0 and never returned,
+  // pinning this reader and stalling the finalize barrier below.
+  {
+    QueryRequest range;
+    range.kind = QueryKind::kRangeCount;
+    range.range_lo = UINT64_MAX - 3;
+    range.range_hi = UINT64_MAX;
+    auto range_answer = sender->Query(range);
+    ASSERT_TRUE(range_answer.ok()) << range_answer.status().ToString();
+    QueryRequest predjoin = range;
+    predjoin.kind = QueryKind::kPredicateJoin;
+    predjoin.probe_sketch = RawProbeBytes(params, epsilon, 100, 5);
+    auto predjoin_answer = sender->Query(predjoin);
+    ASSERT_TRUE(predjoin_answer.ok()) << predjoin_answer.status().ToString();
+  }
   // Same session still answers valid queries and — the regression this
   // guards — the finalize barrier still completes promptly.
   QueryRequest valid;
@@ -441,9 +458,10 @@ TEST(NetQueryTest, HostileQueryPayloadsDegradeCleanlyAndNeverStallFinalize) {
   server.Stop();
   const NetMetrics metrics = server.metrics();
   // Garbage payload + unbounded scan + mismatched probe all rejected; only
-  // the one valid frequency query was served.
+  // the two top-of-key-space range queries and the one frequency query
+  // were served.
   EXPECT_GE(metrics.queries_rejected, 3u);
-  EXPECT_EQ(metrics.query_frames, 1u);
+  EXPECT_EQ(metrics.query_frames, 3u);
 }
 
 // Regression: a peer caught mid-send on an oversized QUERY frame used to

@@ -3,6 +3,7 @@
 // finalized cells and join estimates — must be bit-identical to a single
 // node absorbing the same reports. Not "close": identical to the last ulp.
 #include <algorithm>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
