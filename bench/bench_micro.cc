@@ -604,7 +604,7 @@ void RunIngestionComparison() {
             FleetSnapshot stats;
             stats.region_id = 0;
             stats.captured_unix_ns = NowNanos();
-            stats.stats = MetricsRegistry::Default().TakeSnapshot();
+            stats.stats = central_with.registry().TakeSnapshot();
             if (!with_sender->PushStats(stats).ok()) std::abort();
           }
         },
@@ -628,7 +628,7 @@ void RunIngestionComparison() {
     // Merge cost: one region's full registry snapshot folded into a
     // cluster accumulator, the unit of work FLEET_STATS pays per region.
     const MetricsRegistry::Snapshot one =
-        MetricsRegistry::Default().TakeSnapshot();
+        central_with.registry().TakeSnapshot();
     int merges = 0;
     const auto merge_start = Clock::now();
     double merge_elapsed = 0.0;
@@ -869,11 +869,9 @@ void RunIngestionComparison() {
         1e9 / batch_rps * static_cast<double>(kMaxWireBatchReports);
     if (metrics_record_overhead_ns >= 0.02 * frame_budget_ns) std::abort();
 
-    const HistogramSnapshot i2q_before =
-        MetricsRegistry::Default().HistogramByName("ingest_to_queryable_ns");
-    const HistogramSnapshot query_before =
-        MetricsRegistry::Default().HistogramByName("query_latency_ns");
     constexpr int kTracedRounds = 20;
+    HistogramSnapshot i2q;
+    HistogramSnapshot query_lat;
     {
       FrameServerOptions options;
       options.num_shards = 2;
@@ -898,23 +896,9 @@ void RunIngestionComparison() {
       }
       if (!sender->Finish().ok()) std::abort();
       server.Stop();
+      i2q = server.registry().HistogramByName("ingest_to_queryable_ns");
+      query_lat = server.registry().HistogramByName("query_latency_ns");
     }
-    auto delta = [](const HistogramSnapshot& after,
-                    const HistogramSnapshot& before) {
-      HistogramSnapshot d;
-      for (size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
-        d.buckets[i] = after.buckets[i] - before.buckets[i];
-        d.count += d.buckets[i];
-      }
-      d.sum = after.sum - before.sum;
-      return d;
-    };
-    const HistogramSnapshot i2q = delta(
-        MetricsRegistry::Default().HistogramByName("ingest_to_queryable_ns"),
-        i2q_before);
-    const HistogramSnapshot query_lat = delta(
-        MetricsRegistry::Default().HistogramByName("query_latency_ns"),
-        query_before);
     // Every traced round must close the origin→publish loop, and every
     // query must land in the latency series.
     if (i2q.count < kTracedRounds) std::abort();

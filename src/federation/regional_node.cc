@@ -39,11 +39,8 @@ RegionalNode::RegionalNode(const SketchParams& params, double epsilon,
         return server_options;
       }()) {
   LDPJS_CHECK(options_.max_ship_attempts >= 1);
-  const std::string region = std::to_string(options_.region_id);
-  ship_rtt_hist_ = MetricsRegistry::Default().GetHistogram(
-      "region" + region + "_ship_rtt_ns");
-  spool_replay_hist_ = MetricsRegistry::Default().GetHistogram(
-      "region" + region + "_spool_replay_ns");
+  ship_rtt_hist_ = server_.registry().GetHistogram("ship_rtt_ns");
+  spool_replay_hist_ = server_.registry().GetHistogram("spool_replay_ns");
   // Epoch numbers start at 0 for every incarnation and sync with the
   // central's per-region high-water on each (re)connect (AdoptCentralEpoch)
   // — deterministic and collision-free by construction, where the previous
@@ -238,7 +235,7 @@ FleetSnapshot RegionalNode::BuildStatsSnapshotLocked() const {
   FleetSnapshot snap;
   snap.region_id = options_.region_id;
   snap.captured_unix_ns = NowNanos();
-  snap.stats = MetricsRegistry::Default().TakeSnapshot();
+  snap.stats = server_.registry().TakeSnapshot();
   // The synthetic net_* series: the central's health evaluator
   // (SignalsFromSnapshot) reads exactly these names, so a pushed snapshot
   // carries its own health inputs instead of the central re-scraping.

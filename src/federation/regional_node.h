@@ -187,8 +187,9 @@ class RegionalNode {
   void SpoolMarkShippedLocked(const PendingSnapshot& snap)
       LDPJS_REQUIRES(ship_mu_);
 
-  /// This node's stats as a fleet snapshot: the process-global registry
-  /// plus the synthetic `net_*` series the central's health evaluator reads
+  /// This node's stats as a fleet snapshot: its server's registry (which
+  /// also holds this node's ship and spool series) plus the synthetic
+  /// `net_*` series the central's health evaluator reads
   /// (SignalsFromSnapshot) — frame/shed/corrupt counters, the frontier
   /// epoch, and the pending-queue depth.
   FleetSnapshot BuildStatsSnapshotLocked() const LDPJS_REQUIRES(ship_mu_);
@@ -202,9 +203,9 @@ class RegionalNode {
   double epsilon_;
   RegionalNodeOptions options_;
   FrameServer server_;
-  /// Per-region ship round-trip distribution (connect excluded): push
-  /// written → ack decoded. Registered once at construction; recording is
-  /// wait-free (see ObsHistogram).
+  /// Ship round-trip distribution (connect excluded): push written → ack
+  /// decoded. Registered in server_'s registry at construction; recording
+  /// is wait-free (see ObsHistogram).
   ObsHistogram* ship_rtt_hist_;
   /// Start()-time spool recovery duration (one sample per recovery).
   ObsHistogram* spool_replay_hist_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace ldpjs {
 
 WindowedView::WindowedView(const SketchParams& params, double epsilon,
@@ -42,23 +40,12 @@ void WindowedView::OnEpochApplied(uint32_t region_id, uint64_t epoch,
 }
 
 void WindowedView::PublishLocked() {
-  const uint64_t publish_start_ns = ObsEnabled() ? NowNanos() : 0;
   LdpJoinSketchServer finalized = acc_;  // the accumulator keeps its lanes
   finalized.Finalize();
   publisher_.Publish(std::move(finalized), has_frontier_, frontier_);
   dirty_ = false;
   pub_aligned_ = has_frontier_;
   pub_frontier_ = frontier_;
-  if (publish_start_ns != 0) {
-    // Registered lazily (one map lookup per publish — publishes happen at
-    // epoch cadence, not per report). The staleness gauge feeds
-    // view_staleness_ms in the stats output.
-    MetricsRegistry& registry = MetricsRegistry::Default();
-    const uint64_t now = NowNanos();
-    registry.GetHistogram("windowed_publish_ns")
-        ->Record(now > publish_start_ns ? now - publish_start_ns : 0);
-    registry.GetGauge("view_last_publish_unix_ns")->Set(now);
-  }
 }
 
 void WindowedView::AdvanceLocked() {

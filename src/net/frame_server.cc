@@ -37,26 +37,28 @@ FrameServer::FrameServer(const SketchParams& params, double epsilon,
                   options.num_shards == 0 ? 1 : options.num_shards) {
   LDPJS_CHECK(options_.queue_capacity >= 1);
   lanes_.reserve(aggregator_.num_shards());
-  MetricsRegistry& registry = MetricsRegistry::Default();
   for (size_t s = 0; s < aggregator_.num_shards(); ++s) {
     auto lane = std::make_unique<ShardLane>();
     const std::string prefix = "shard" + std::to_string(s);
-    lane->queue_wait_hist = registry.GetHistogram(prefix + "_queue_wait_ns");
-    lane->absorb_hist = registry.GetHistogram(prefix + "_absorb_ns");
+    lane->queue_wait_hist = registry_.GetHistogram(prefix + "_queue_wait_ns");
+    lane->absorb_hist = registry_.GetHistogram(prefix + "_absorb_ns");
     lanes_.push_back(std::move(lane));
   }
-  ingest_to_queryable_hist_ = registry.GetHistogram("ingest_to_queryable_ns");
-  query_latency_hist_ = registry.GetHistogram("query_latency_ns");
-  query_error_latency_hist_ = registry.GetHistogram("query_error_latency_ns");
+  ingest_to_queryable_hist_ = registry_.GetHistogram("ingest_to_queryable_ns");
+  query_latency_hist_ = registry_.GetHistogram("query_latency_ns");
+  query_error_latency_hist_ = registry_.GetHistogram("query_error_latency_ns");
   static constexpr const char* kKindNames[6] = {
       "join_size", "frequency",   "frequent_items",
       "multiway",  "range_count", "predicate_join"};
   for (size_t i = 0; i < 6; ++i) {
     query_kind_latency_[i] =
-        registry.GetHistogram(std::string("query_") + kKindNames[i] +
-                              "_latency_ns");
+        registry_.GetHistogram(std::string("query_") + kKindNames[i] +
+                               "_latency_ns");
   }
-  view_last_publish_gauge_ = registry.GetGauge("view_last_publish_unix_ns");
+  view_last_publish_gauge_ = registry_.GetGauge("view_last_publish_unix_ns");
+  if (options_.epoch_observer) {
+    epoch_observer_hist_ = registry_.GetHistogram("epoch_observer_ns");
+  }
 }
 
 FrameServer::~FrameServer() {
@@ -177,11 +179,9 @@ void FrameServer::SendError(Connection& conn, const Status& status) {
 
 void FrameServer::CloseWithError(Connection& conn, const Status& status) {
   SendError(conn, status);
-  // Shut the socket down NOW, not when the next accept/exit reaps the
-  // Connection: the peer must read EOF right after the ERROR, and a peer
-  // mid-send on an oversized frame is blocked in send() with a full socket
-  // buffer that only an RST unblocks. Leaving the fd open parks that peer
-  // until unrelated traffic arrives — on an otherwise idle server, forever.
+  // Shut the socket down NOW: the peer reads EOF right after the ERROR, and
+  // the reader (when a pump rejected the frame) wakes from recv and exits,
+  // closing the fd — see the end of ReaderLoop for why the close matters.
   conn.socket.ShutdownBoth();
 }
 
@@ -338,6 +338,15 @@ void FrameServer::ReaderLoop(Connection* conn) {
   ReapFinishedConnections();
   {
     MutexLock lock(mu_);
+    // Close the fd now rather than at reaping, which waits for the next
+    // accept, reader exit or Stop. A peer blocked mid-send on a full
+    // receive window never gets the reset shutdown() promises — Linux sends
+    // it only when more bytes arrive — so it stays parked until its own
+    // send timeout; close() resets it at once. Waiting out the in-flight
+    // DATA first means no pump can still reply on the fd, and closing under
+    // mu_ means no Stop()/DisconnectClients() shutdown can hit a reused fd.
+    while (conn->data_inflight != 0) drain_cv_.Wait(mu_);
+    conn->socket.Close();
     conn->reader_done = true;
   }
   drain_cv_.NotifyAll();
@@ -519,8 +528,14 @@ bool FrameServer::HandleEpochPush(Connection& conn, InboundFrame& frame) {
       // After the lanes, before the ack: once the region reads
       // EPOCH_PUSH_OK, windowed views already contain the epoch. The
       // observer may steal the snapshot — it is dead after this call.
+      const uint64_t observer_start_ns = ObsEnabled() ? NowNanos() : 0;
       options_.epoch_observer(push->region_id, push->epoch,
                               heartbeat ? nullptr : &*snapshot);
+      if (observer_start_ns != 0) {
+        const uint64_t now = NowNanos();
+        epoch_observer_hist_->Record(
+            now > observer_start_ns ? now - observer_start_ns : 0);
+      }
     }
     if (ObsEnabled() && trace.active()) {
       TraceLog::Global().Record(trace.trace_id, "central_merge",
@@ -857,12 +872,12 @@ std::string FrameServer::StatsJson() const {
   const NetMetrics m = options_.stats_metrics_source
                            ? options_.stats_metrics_source()
                            : metrics();
+  const MetricsRegistry::Snapshot snapshot = registry_.TakeSnapshot();
   // This server's own verdict, from the same numbers the JSON carries. The
   // scrape is where a state change becomes observable, so the transition
   // event is recorded here — idempotent for unchanged states.
-  const HealthVerdict local = EvaluateHealth(
-      SignalsFromMetrics(m, MetricsRegistry::Default().TakeSnapshot()),
-      options_.health);
+  const HealthVerdict local =
+      EvaluateHealth(SignalsFromMetrics(m, snapshot), options_.health);
   const uint8_t previous = local_health_state_.exchange(
       static_cast<uint8_t>(local.state), std::memory_order_relaxed);
   if (previous != static_cast<uint8_t>(local.state)) {
@@ -879,7 +894,7 @@ std::string FrameServer::StatsJson() const {
   extra += FleetViewToJson(CurrentFleetView());
   extra += ",\"events\":";
   extra += events_.ToJsonArray();
-  return StatsToJson(m, &MetricsRegistry::Default(), extra);
+  return StatsToJson(m, snapshot, extra);
 }
 
 void FrameServer::DisconnectClients() {

@@ -105,7 +105,7 @@ struct FrameServerOptions {
   /// nothing merged). Invoked on the pushing connection's reader thread,
   /// concurrently across regions; the observer synchronizes itself (see
   /// federation/WindowedView). Keep it cheap — the pushing region waits on
-  /// the ack behind it.
+  /// the ack behind it; each call is timed into `epoch_observer_ns`.
   std::function<void(uint32_t region_id, uint64_t epoch,
                      LdpJoinSketchServer* snapshot)>
       epoch_observer;
@@ -200,13 +200,20 @@ class FrameServer {
   /// counters.
   NetMetrics metrics() const;
 
-  /// The JSON a STATS frame answers with: the stats_metrics_source (or the
-  /// server's own metrics()) serialized together with the process-global
-  /// registry through the one shared serializer (obs/stats_export.h) —
-  /// plus "health" (this server's own verdict), "fleet" (the
+  /// The JSON a STATS frame answers with, and the one the CLI dumps on
+  /// SIGUSR1, at exit and into its JSONL file: the stats_metrics_source (or
+  /// the server's own metrics()) and one snapshot of registry() through
+  /// the one shared serializer (obs/stats_export.h) — plus "health" (this
+  /// server's own verdict, read from the same snapshot), "fleet" (the
   /// merged view over pushed region snapshots; empty regions list when
   /// nothing has pushed), and "events" (the bounded transition ring).
   std::string StatsJson() const;
+
+  /// This node's metrics registry: every series the server records, plus
+  /// the ones a RegionalNode around it registers. Nodes sharing a process
+  /// each have their own, so their series never mix.
+  MetricsRegistry& registry() { return registry_; }
+  const MetricsRegistry& registry() const { return registry_; }
 
   /// The merged fleet view over every STATS_PUSH received so far, rendered
   /// now — what a FLEET_STATS frame answers with.
@@ -414,13 +421,16 @@ class FrameServer {
   TraceContext pending_publish_trace_ LDPJS_GUARDED_BY(obs_mu_);
   TraceContext pending_cut_trace_ LDPJS_GUARDED_BY(obs_mu_);
   TraceContext last_cut_trace_ LDPJS_GUARDED_BY(obs_mu_);
-  /// Cached registry instruments (stable pointers into the process-global
-  /// registry; per-shard ones live on the lanes).
+  MetricsRegistry registry_;
+  /// Cached registry instruments (stable pointers into registry_; per-shard
+  /// ones live on the lanes). epoch_observer_hist_ is registered only when
+  /// an epoch_observer is set.
   ObsHistogram* ingest_to_queryable_hist_ = nullptr;
   ObsHistogram* query_latency_hist_ = nullptr;
   ObsHistogram* query_error_latency_hist_ = nullptr;
   ObsHistogram* query_kind_latency_[6] = {};
   ObsGauge* view_last_publish_gauge_ = nullptr;
+  ObsHistogram* epoch_observer_hist_ = nullptr;
   /// Fleet state. Both are internally synchronized; `mutable` because
   /// StatsJson() — a const read — evaluates local health and must record
   /// the transition it observes (the read is when a state change becomes

@@ -1,7 +1,9 @@
-// Observability structs for the TCP front end. FrameServer::metrics()
-// returns a consistent snapshot; the CLI `serve`/`federate-*` subcommands
-// dump it when the session finishes — and as JSON on SIGUSR1, via
-// NetMetricsToJson below.
+// The typed counter snapshot of the TCP front end. FrameServer::metrics()
+// returns a consistent one; it is rendered as JSON only together with the
+// node's registry snapshot, by StatsToJson (obs/stats_export.h), behind
+// FrameServer::StatsJson(). Its fields are plain struct members, not
+// registry instruments, because the benchmark ledger reads them by name
+// and the stats JSON pins their keys.
 #ifndef LDPJS_NET_NET_METRICS_H_
 #define LDPJS_NET_NET_METRICS_H_
 
@@ -89,11 +91,6 @@ struct NetMetrics {
   std::vector<ShardMetrics> shards;
   std::vector<RegionMetrics> regions;
 };
-
-/// Renders the full snapshot — totals plus the per-connection, per-shard,
-/// and per-region rows — as one JSON object (machine-readable ops output;
-/// the CLI dumps it on SIGUSR1 and at exit).
-std::string NetMetricsToJson(const NetMetrics& metrics);
 
 }  // namespace ldpjs
 

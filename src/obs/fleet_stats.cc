@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/stats_export.h"
+
 namespace ldpjs {
 
 namespace {
@@ -136,82 +138,8 @@ Status GetVerdict(BinaryReader& reader, HealthVerdict* out) {
   return Status::OK();
 }
 
-void AppendJsonString(std::string& out, std::string_view text) {
-  out += '"';
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
-void AppendNamedValuesJson(
-    std::string& out, const char* section,
-    const std::vector<std::pair<std::string, uint64_t>>& series) {
-  out += '"';
-  out += section;
-  out += "\":{";
-  for (size_t i = 0; i < series.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendJsonString(out, series[i].first);
-    out += ':';
-    out += std::to_string(series[i].second);
-  }
-  out += '}';
-}
-
-void AppendDouble(std::string& out, double value) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  out += buf;
-}
-
-void AppendRegistryJson(std::string& out,
-                        const MetricsRegistry::Snapshot& snap) {
-  AppendNamedValuesJson(out, "counters", snap.counters);
-  out += ',';
-  AppendNamedValuesJson(out, "gauges", snap.gauges);
-  out += ",\"histograms\":{";
-  for (size_t i = 0; i < snap.histograms.size(); ++i) {
-    if (i > 0) out += ',';
-    const auto& [name, hist] = snap.histograms[i];
-    AppendJsonString(out, name);
-    out += ":{\"count\":";
-    out += std::to_string(hist.count);
-    out += ",\"sum\":";
-    out += std::to_string(hist.sum);
-    out += ",\"mean\":";
-    AppendDouble(out, hist.mean());
-    out += ",\"p50\":";
-    out += std::to_string(hist.Percentile(0.50));
-    out += ",\"p90\":";
-    out += std::to_string(hist.Percentile(0.90));
-    out += ",\"p99\":";
-    out += std::to_string(hist.Percentile(0.99));
-    out += ",\"p999\":";
-    out += std::to_string(hist.Percentile(0.999));
-    out += '}';
-  }
-  out += '}';
-}
-
 void AppendVerdictJson(std::string& out, const HealthVerdict& verdict) {
   out += HealthVerdictToJson(verdict);
-}
-
-template <typename T>
-const T* FindByName(const std::vector<std::pair<std::string, T>>& series,
-                    std::string_view name) {
-  for (const auto& [key, value] : series) {
-    if (key == name) return &value;
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -324,7 +252,7 @@ std::string FleetViewToJson(const FleetView& view) {
   out += ",\"region_count\":";
   out += std::to_string(view.regions.size());
   out += ",\"merged\":{";
-  AppendRegistryJson(out, view.merged);
+  AppendSnapshotJson(out, view.merged);
   out += "},\"regions\":[";
   for (size_t i = 0; i < view.regions.size(); ++i) {
     if (i > 0) out += ',';
@@ -333,39 +261,18 @@ std::string FleetViewToJson(const FleetView& view) {
     out += std::to_string(region.snapshot.region_id);
     out += ",\"captured_unix_ns\":";
     out += std::to_string(region.snapshot.captured_unix_ns);
-    out += ",\"age_ms\":";
-    AppendDouble(out, static_cast<double>(region.age_ns) / 1e6);
+    char age_ms[48];
+    std::snprintf(age_ms, sizeof(age_ms), ",\"age_ms\":%.6g",
+                  static_cast<double>(region.age_ns) / 1e6);
+    out += age_ms;
     out += ",\"health\":";
     AppendVerdictJson(out, region.health);
     out += ',';
-    AppendRegistryJson(out, region.snapshot.stats);
+    AppendSnapshotJson(out, region.snapshot.stats);
     out += '}';
   }
   out += "]}";
   return out;
-}
-
-HistogramSnapshot FleetHistogramByName(const MetricsRegistry::Snapshot& snap,
-                                       std::string_view name) {
-  const HistogramSnapshot* hist = FindByName(snap.histograms, name);
-  return hist != nullptr ? *hist : HistogramSnapshot{};
-}
-
-HistogramSnapshot FleetHistogramBySuffix(const MetricsRegistry::Snapshot& snap,
-                                         std::string_view suffix) {
-  for (const auto& [name, hist] : snap.histograms) {
-    if (name.size() >= suffix.size() &&
-        std::string_view(name).substr(name.size() - suffix.size()) == suffix) {
-      return hist;
-    }
-  }
-  return HistogramSnapshot{};
-}
-
-uint64_t FleetGaugeByName(const MetricsRegistry::Snapshot& snap,
-                          std::string_view name) {
-  const uint64_t* value = FindByName(snap.gauges, name);
-  return value != nullptr ? *value : 0;
 }
 
 FleetStore::ApplyResult FleetStore::Apply(FleetSnapshot snapshot,
@@ -383,7 +290,7 @@ FleetStore::ApplyResult FleetStore::Apply(FleetSnapshot snapshot,
   for (const auto& [id, other] : regions_) {
     frontier_max = std::max(
         frontier_max,
-        FleetGaugeByName(other.snapshot.stats, "net_frontier_epoch"));
+        SeriesValue(other.snapshot.stats.gauges, "net_frontier_epoch"));
   }
 
   ApplyResult result;
@@ -435,7 +342,7 @@ FleetView FleetStore::ViewLocked(uint64_t now_ns,
   for (const auto& [id, entry] : regions_) {
     frontier_max = std::max(
         frontier_max,
-        FleetGaugeByName(entry.snapshot.stats, "net_frontier_epoch"));
+        SeriesValue(entry.snapshot.stats.gauges, "net_frontier_epoch"));
   }
 
   for (const auto& [id, entry] : regions_) {

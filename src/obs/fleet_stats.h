@@ -2,7 +2,9 @@
 // STATS_PUSH / FLEET_STATS.
 //
 // A FleetSnapshot is one region's registry snapshot — counters, gauges,
-// and histograms with their RAW log2 bucket arrays. Percentiles are never
+// and histograms with their RAW log2 bucket arrays, taken from that node's
+// own registry, so it holds that node's records and no one else's even
+// when several nodes share a process. Percentiles are never
 // shipped: buckets merge losslessly by elementwise addition
 // (MergeHistogram), so the central's merged cluster histogram is
 // bit-identical to one histogram fed the union of every region's records,
@@ -75,18 +77,10 @@ Result<FleetView> DecodeFleetView(std::span<const uint8_t> payload);
 
 /// The fleet view as one JSON object — the `stats --cluster` output and
 /// the "fleet" section of the central's stats JSON come from this one
-/// serializer, so they cannot drift apart in shape.
+/// serializer, so they cannot drift apart in shape. Every snapshot in it
+/// (the merged one and each region's) is written by AppendSnapshotJson,
+/// the same writer as the stats JSON's "obs" section.
 std::string FleetViewToJson(const FleetView& view);
-
-/// Convenience reads for dashboard rows (ldpjs_cli top): first histogram
-/// with this exact name / name suffix (empty snapshot when absent), and a
-/// named gauge (0 when absent).
-HistogramSnapshot FleetHistogramByName(const MetricsRegistry::Snapshot& snap,
-                                       std::string_view name);
-HistogramSnapshot FleetHistogramBySuffix(const MetricsRegistry::Snapshot& snap,
-                                         std::string_view suffix);
-uint64_t FleetGaugeByName(const MetricsRegistry::Snapshot& snap,
-                          std::string_view name);
 
 /// Per-region last-snapshot store with health-transition detection.
 /// Thread-safe; the central's reader threads Apply() concurrently with

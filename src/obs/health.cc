@@ -26,13 +26,15 @@ void ApplyRule(double observed, double threshold, double critical_multiplier,
   *cause += buf;
 }
 
-uint64_t NamedValue(
-    const std::vector<std::pair<std::string, uint64_t>>& series,
-    std::string_view name) {
-  for (const auto& [key, value] : series) {
-    if (key == name) return value;
-  }
-  return 0;
+/// The ingest-to-queryable SLO signal, read the same way from a local or
+/// a pushed snapshot.
+void ReadI2q(const MetricsRegistry::Snapshot& snapshot,
+             HealthSignals* signals) {
+  const HistogramSnapshot i2q =
+      SeriesValue(snapshot.histograms, "ingest_to_queryable_ns");
+  if (i2q.count == 0) return;
+  signals->has_i2q = true;
+  signals->i2q_p99_ms = static_cast<double>(i2q.Percentile(0.99)) / 1e6;
 }
 
 }  // namespace
@@ -89,33 +91,23 @@ HealthSignals SignalsFromMetrics(const NetMetrics& metrics,
   signals.frames = metrics.frames_received;
   signals.shed = metrics.frames_shed;
   signals.corrupt = metrics.corrupt_frames_rejected;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (name == "ingest_to_queryable_ns" && hist.count > 0) {
-      signals.has_i2q = true;
-      signals.i2q_p99_ms = static_cast<double>(hist.Percentile(0.99)) / 1e6;
-    }
-  }
+  ReadI2q(snapshot, &signals);
   return signals;
 }
 
 HealthSignals SignalsFromSnapshot(const MetricsRegistry::Snapshot& snapshot,
                                   uint64_t frontier_max, uint64_t age_ns) {
   HealthSignals signals;
-  signals.frames = NamedValue(snapshot.counters, "net_frames_received");
-  signals.shed = NamedValue(snapshot.counters, "net_frames_shed");
+  signals.frames = SeriesValue(snapshot.counters, "net_frames_received");
+  signals.shed = SeriesValue(snapshot.counters, "net_frames_shed");
   signals.corrupt =
-      NamedValue(snapshot.counters, "net_corrupt_frames_rejected");
-  signals.spool_depth = NamedValue(snapshot.gauges, "net_pending_epochs");
+      SeriesValue(snapshot.counters, "net_corrupt_frames_rejected");
+  signals.spool_depth = SeriesValue(snapshot.gauges, "net_pending_epochs");
   const uint64_t frontier =
-      NamedValue(snapshot.gauges, "net_frontier_epoch");
+      SeriesValue(snapshot.gauges, "net_frontier_epoch");
   signals.frontier_lag = frontier_max > frontier ? frontier_max - frontier : 0;
   signals.age_ns = age_ns;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (name == "ingest_to_queryable_ns" && hist.count > 0) {
-      signals.has_i2q = true;
-      signals.i2q_p99_ms = static_cast<double>(hist.Percentile(0.99)) / 1e6;
-    }
-  }
+  ReadI2q(snapshot, &signals);
   return signals;
 }
 

@@ -78,7 +78,7 @@ struct HealthVerdict {
 HealthVerdict EvaluateHealth(const HealthSignals& signals,
                              const HealthOptions& options);
 
-/// Signals for this process: shed/corrupt/frame counts from its NetMetrics,
+/// Signals for this node: shed/corrupt/frame counts from its NetMetrics,
 /// the i2q p99 from its registry snapshot. Frontier lag and push staleness
 /// are fleet-relative concepts and stay zero here.
 HealthSignals SignalsFromMetrics(const NetMetrics& metrics,

@@ -76,11 +76,6 @@ HistogramSnapshot ObsHistogram::Snapshot() const {
   return snap;
 }
 
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* const registry = new MetricsRegistry();
-  return *registry;
-}
-
 ObsCounter* MetricsRegistry::GetCounter(std::string_view name) {
   MutexLock lock(mu_);
   auto it = counters_.find(name);

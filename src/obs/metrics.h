@@ -1,6 +1,8 @@
 // Hot-path observability primitives: lock-free counters, gauges, and
-// log2-bucketed latency histograms, collected behind a process-wide
-// MetricsRegistry.
+// log2-bucketed latency histograms, collected behind a MetricsRegistry.
+// There is no process-wide registry: each node (FrameServer, and the
+// RegionalNode around one) owns its own, so nodes sharing a process keep
+// their series apart and a pushed snapshot holds one node's records only.
 //
 // Design constraints, in order:
 //   1. Recording must be nanosecond-cheap on ingest/query hot paths — one
@@ -122,9 +124,15 @@ class ObsHistogram {
 
  private:
   static constexpr size_t kStripes = 8;
-  struct alignas(64) Stripe {
+  // Each stripe ends in a cache line of padding, so no line holds fields
+  // of two stripes whatever the base address. The type is deliberately not
+  // over-aligned: aligned operator new leaves split-off fragments that can
+  // keep glibc from trimming the heap when servers (and their registries)
+  // are built and torn down between large transient buffers.
+  struct Stripe {
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> buckets[HistogramSnapshot::kBuckets] = {};
+    char pad[64] = {};
   };
   static size_t ThreadStripe();
 
@@ -136,11 +144,6 @@ class ObsHistogram {
 /// stable for the registry's lifetime — cache them at construction.
 class MetricsRegistry {
  public:
-  /// The process-wide registry every production component records into and
-  /// the STATS frame / SIGUSR1 dump serialize. Tests that need isolation
-  /// construct their own instance.
-  static MetricsRegistry& Default();
-
   ObsCounter* GetCounter(std::string_view name);
   ObsGauge* GetGauge(std::string_view name);
   ObsHistogram* GetHistogram(std::string_view name);
@@ -152,9 +155,8 @@ class MetricsRegistry {
   };
   Snapshot TakeSnapshot() const;
 
-  /// Snapshot of one histogram by name (empty snapshot when absent) — the
-  /// bench and stats serializer read single series without walking the
-  /// whole registry.
+  /// Snapshot of one histogram by name (empty snapshot when absent) — reads
+  /// a single series without walking the whole registry.
   HistogramSnapshot HistogramByName(std::string_view name) const;
 
  private:
@@ -166,6 +168,19 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<ObsHistogram>, std::less<>> histograms_
       LDPJS_GUARDED_BY(mu_);
 };
+
+/// The value of series `name` in one of a snapshot's series lists — 0 for
+/// a counter or gauge, an empty histogram — when the series is absent. The
+/// one lookup every reader of a snapshot (health rules, fleet store, stats
+/// serializer, dashboards) goes through.
+template <typename T>
+T SeriesValue(const std::vector<std::pair<std::string, T>>& series,
+              std::string_view name) {
+  for (const auto& [key, value] : series) {
+    if (key == name) return value;
+  }
+  return T{};
+}
 
 }  // namespace ldpjs
 

@@ -1,16 +1,18 @@
-// The single stats serializer: the STATS frame, the SIGUSR1 dump, the
-// periodic JSONL exporter, and the legacy NetMetricsToJson all emit through
-// StatsToJson, so the schema cannot drift into per-caller dialects.
+// The stats serializer: the STATS frame, the SIGUSR1 dump and the periodic
+// JSONL exporter all emit FrameServer::StatsJson(), which renders through
+// StatsToJson, so the schema cannot drift into per-caller dialects. A
+// registry snapshot is written as JSON by AppendSnapshotJson alone — the
+// "obs" section here and every snapshot in the fleet view (fleet_stats.h).
 //
 // Output shape:
 //   - every pre-existing NetMetrics key, unchanged in name and type, at the
 //     top level (totals, then query_kinds / connections / shards / regions);
+//   - derived top-level doubles "ingest_to_queryable_p50_ms" and
+//     "ingest_to_queryable_p99_ms" (0.0 while the series is empty, so
+//     consumers can always parse them);
 //   - "query_rejected_kinds": {kind: count} — per-kind reject attribution;
-//   - when a registry is supplied, "obs": {counters, gauges, histograms}
-//     where each histogram carries count/sum/mean/p50/p90/p99/p999, plus
-//     derived top-level doubles "ingest_to_queryable_p50_ms",
-//     "ingest_to_queryable_p99_ms" and "view_staleness_ms" (0.0 while the
-//     corresponding series is empty, so consumers can always parse them).
+//   - "obs": {enabled, counters, gauges, histograms, view_staleness_ms}
+//     where each histogram carries count/sum/mean/p50/p90/p99/p999.
 #ifndef LDPJS_OBS_STATS_EXPORT_H_
 #define LDPJS_OBS_STATS_EXPORT_H_
 
@@ -22,10 +24,8 @@
 
 namespace ldpjs {
 
-/// Renders a NetMetrics snapshot — and, when `registry` is non-null, the
-/// registry's instruments — as one JSON object. `registry == nullptr`
-/// reproduces the pre-obs NetMetricsToJson output byte-compatibly (modulo
-/// the additive query_rejected_kinds key).
+/// Renders a NetMetrics snapshot and one snapshot of the node's registry as
+/// one JSON object.
 ///
 /// `extra_sections`, when non-empty, is spliced verbatim before the closing
 /// brace (the caller supplies `"key":value[,...]` without a leading comma).
@@ -33,8 +33,14 @@ namespace ldpjs {
 /// this serializer does not depend on the server layer, and so they land
 /// AFTER every frozen legacy key (the schema-freeze tests pin the prefix).
 std::string StatsToJson(const NetMetrics& metrics,
-                        const MetricsRegistry* registry,
+                        const MetricsRegistry::Snapshot& registry,
                         std::string_view extra_sections = {});
+
+/// Appends `"counters":{...},"gauges":{...},"histograms":{...}` for one
+/// registry snapshot, series names JSON-escaped, each histogram as
+/// {"count","sum","mean" (%.6g),"p50","p90","p99","p999"}.
+void AppendSnapshotJson(std::string& out,
+                        const MetricsRegistry::Snapshot& snapshot);
 
 }  // namespace ldpjs
 

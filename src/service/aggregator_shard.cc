@@ -5,14 +5,11 @@
 namespace ldpjs {
 
 AggregatorShard::AggregatorShard(const SketchParams& params, double epsilon)
-    : sketch_(params, epsilon),
-      ring_(kShardDecodeRingSize * kMaxWireBatchReports) {}
+    : sketch_(params, epsilon), decoded_(kMaxWireBatchReports) {}
 
 Status AggregatorShard::IngestFrame(std::span<const uint8_t> frame) {
-  std::span<LdpReport> buffer(
-      ring_.data() + next_buffer_ * kMaxWireBatchReports, kMaxWireBatchReports);
   BinaryReader reader(frame);
-  auto count = DecodeReportBatch(reader, buffer);
+  auto count = DecodeReportBatch(reader, decoded_);
   if (!count.ok()) return count.status();
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after batch-envelope record");
@@ -20,7 +17,7 @@ Status AggregatorShard::IngestFrame(std::span<const uint8_t> frame) {
   // The codec guarantees strict ±1 signs and j ≤ 0xffff; the sketch shape
   // (k, m) is this shard's business, and AbsorbBatch treats violations as
   // programmer errors (abort), so screen them here as wire corruption.
-  const std::span<const LdpReport> reports = buffer.first(*count);
+  const std::span<const LdpReport> reports(decoded_.data(), *count);
   const uint32_t k = static_cast<uint32_t>(sketch_.params().k);
   const uint32_t m = static_cast<uint32_t>(sketch_.params().m);
   for (const LdpReport& r : reports) {
@@ -32,20 +29,12 @@ Status AggregatorShard::IngestFrame(std::span<const uint8_t> frame) {
     }
   }
   sketch_.AbsorbBatch(reports);
-  next_buffer_ = (next_buffer_ + 1) % kShardDecodeRingSize;
   ++frames_;
   return Status::OK();
 }
 
 void AggregatorShard::MergeRaw(const LdpJoinSketchServer& other) {
   sketch_.Merge(other);
-}
-
-void AggregatorShard::SubtractRaw(const LdpJoinSketchServer& other) {
-  // Fold the retracted reports into the shipped counter first, so the
-  // lifetime total (shipped + live) is unchanged by the subtraction.
-  shipped_reports_ += other.total_reports();
-  sketch_.SubtractRaw(other);
 }
 
 void AggregatorShard::Reset() {

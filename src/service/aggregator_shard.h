@@ -2,9 +2,9 @@
 // wire frames of batch-envelope records ("LJSB", see EncodeReportBatch)
 // into a shard-local un-finalized sketch.
 //
-// Memory is bounded and allocated once: frames decode into a small ring of
-// fixed-size LdpReport buffers (kMaxWireBatchReports each), so a shard that
-// has absorbed a billion reports holds exactly one sketch plus the ring —
+// Memory is bounded and allocated once: frames decode into one fixed-size
+// LdpReport buffer (kMaxWireBatchReports reports, 32 KiB), so a shard that
+// has absorbed a billion reports holds exactly one sketch plus that buffer —
 // no per-report or per-frame allocation on the ingest path. Input is
 // untrusted wire bytes: a frame that is truncated, corrupt, or carries
 // coordinates outside this shard's sketch shape is rejected with Corruption
@@ -21,18 +21,12 @@
 
 namespace ldpjs {
 
-/// Decode buffers in a shard's ring. One is strictly enough for the current
-/// synchronous decode→absorb loop; a small ring keeps the last few decoded
-/// batches addressable for overlapped decode/absorb or debugging without
-/// growing the footprint (4 × 4096 × 12 B ≈ 192 KiB per shard).
-inline constexpr size_t kShardDecodeRingSize = 4;
-
 class AggregatorShard {
  public:
   /// Params/epsilon must match the clients' (and every other shard's).
   AggregatorShard(const SketchParams& params, double epsilon);
 
-  /// Decodes one batch-envelope frame payload through the ring and absorbs
+  /// Decodes one batch-envelope frame payload into the buffer and absorbs
   /// it into the shard sketch. Validates every report against the sketch
   /// shape (j < k, l < m) after the codec's own checks; any failure leaves
   /// the shard untouched and returns Corruption.
@@ -42,12 +36,6 @@ class AggregatorShard {
   /// tier's merge of a regional epoch snapshot). Caller must have validated
   /// params/epsilon compatibility; exact integer lane addition.
   void MergeRaw(const LdpJoinSketchServer& other);
-
-  /// Exact inverse of MergeRaw: retracts a previously merged raw-lane
-  /// sketch (an expired sliding-window epoch). The retracted reports stay
-  /// in the lifetime counters — they *were* ingested — so reports_ingested
-  /// remains monotonic across retractions, like it does across Reset().
-  void SubtractRaw(const LdpJoinSketchServer& other);
 
   /// Epoch cut: zeroes the shard's lanes in place so a new collection
   /// window starts fresh. Lifetime counters (frames/reports ingested) keep
@@ -65,8 +53,7 @@ class AggregatorShard {
 
  private:
   LdpJoinSketchServer sketch_;
-  std::vector<LdpReport> ring_;  // kShardDecodeRingSize buffers, contiguous
-  size_t next_buffer_ = 0;
+  std::vector<LdpReport> decoded_;  // kMaxWireBatchReports, reused per frame
   uint64_t frames_ = 0;
   uint64_t shipped_reports_ = 0;  // reports cut away by past Reset() calls
 };

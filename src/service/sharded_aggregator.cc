@@ -56,12 +56,6 @@ void ShardedAggregator::MergeRawSketch(size_t shard,
   shards_[shard].MergeRaw(sketch);
 }
 
-void ShardedAggregator::SubtractRawSketch(size_t shard,
-                                          const LdpJoinSketchServer& sketch) {
-  LDPJS_CHECK(shard < shards_.size());
-  shards_[shard].SubtractRaw(sketch);
-}
-
 ShardedAggregator::EpochCut ShardedAggregator::CutEpoch() {
   EpochCut cut;
   LdpJoinSketchServer merged = MergeShards();

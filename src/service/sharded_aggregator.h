@@ -61,14 +61,6 @@ class ShardedAggregator {
   /// integer lane addition). Not synchronized, like IngestFrameToShard.
   void MergeRawSketch(size_t shard, const LdpJoinSketchServer& sketch);
 
-  /// Exact inverse of MergeRawSketch: retracts a previously merged sketch
-  /// from shard `shard` — how a service-level caller expires an epoch in
-  /// place (the central's WindowedView instead retracts from its own
-  /// separate accumulator). Target the shard the sketch was merged into —
-  /// a shard's report balance can never go negative (contract check),
-  /// even though the global merge is linear.
-  void SubtractRawSketch(size_t shard, const LdpJoinSketchServer& sketch);
-
   /// One epoch cut: the serialized merged raw lanes of everything ingested
   /// since the last cut, plus the report count inside the cut. Every shard
   /// is reset in the same call, so consecutive cuts partition the stream —

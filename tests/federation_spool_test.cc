@@ -339,10 +339,6 @@ TEST(FederationSpoolTest, CrashReplayedEpochStillShipsTraced) {
     // "Crash": destruction with the traced epoch only in the spool.
   }
 
-  const uint64_t i2q_before =
-      MetricsRegistry::Default().HistogramByName("ingest_to_queryable_ns")
-          .count;
-
   CentralNodeOptions central_options;
   central_options.server.port = central_port;
   CentralNode central(params, epsilon, central_options);
@@ -356,10 +352,11 @@ TEST(FederationSpoolTest, CrashReplayedEpochStillShipsTraced) {
   }
   // The replayed push carried the recovered trace: the central's view
   // publish produced a fresh end-to-end sample.
-  EXPECT_GT(MetricsRegistry::Default()
+  EXPECT_GE(central.server()
+                .registry()
                 .HistogramByName("ingest_to_queryable_ns")
                 .count,
-            i2q_before);
+            1u);
   central.Stop();
 }
 

@@ -8,13 +8,19 @@
 //   3. Health transitions (OK → DEGRADED on an i2q SLO burn) land in the
 //      event log with the breached rule as the cause, and in the stats
 //      JSON's new trailing sections.
+//   4. Real nodes sharing one process push only their own series, so the
+//      fleet view counts every node's records exactly once.
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/ldp_join_sketch.h"
+#include "federation/central_node.h"
+#include "federation/regional_node.h"
 #include "net/frame_sender.h"
 #include "net/frame_server.h"
 #include "net/protocol.h"
@@ -150,7 +156,7 @@ TEST(NetFleetTest, LivePushesMergeExactlyToUnionOfRecords) {
   for (const uint64_t v : records_b) unioned.Record(v);
   const HistogramSnapshot expected = unioned.Snapshot();
   const HistogramSnapshot merged =
-      FleetHistogramByName(view->merged, "ingest_to_queryable_ns");
+      SeriesValue(view->merged.histograms, "ingest_to_queryable_ns");
   EXPECT_EQ(merged.count, expected.count);
   EXPECT_EQ(merged.sum, expected.sum);
   for (size_t i = 0; i < HistogramSnapshot::kBuckets; ++i) {
@@ -161,18 +167,14 @@ TEST(NetFleetTest, LivePushesMergeExactlyToUnionOfRecords) {
 
   // Counters summed across regions; a repush REPLACES region 0's snapshot
   // (last-snapshot store), it does not double-merge.
-  uint64_t reports = 0;
-  for (const auto& [name, value] : view->merged.counters) {
-    if (name == "net_reports_ingested") reports = value;
-  }
-  EXPECT_EQ(reports, 300u);
+  EXPECT_EQ(SeriesValue(view->merged.counters, "net_reports_ingested"), 300u);
   ASSERT_TRUE(
       sender_a->PushStats(MakeRegionSnapshot(0, 12, records_a)).ok());
   auto again = sender_a->FleetStats();
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->regions.size(), 2u);
   const HistogramSnapshot remerged =
-      FleetHistogramByName(again->merged, "ingest_to_queryable_ns");
+      SeriesValue(again->merged.histograms, "ingest_to_queryable_ns");
   EXPECT_EQ(remerged.count, expected.count);
 
   ASSERT_TRUE(sender_a->Finish().ok());
@@ -244,5 +246,77 @@ TEST(NetFleetTest, SloBurnTransitionsToDegradedAndLogsTheCause) {
   server.Stop();
 }
 
+// Two real regions and a central in one process: each region's STATS_PUSH
+// carries its own node's records and no one else's, so the cluster merge
+// counts every record once.
+TEST(NetFleetTest, NodesInOneProcessPushOnlyTheirOwnSeries) {
+  const SketchParams params = TestParams();
+  CentralNode central(params, kEpsilon, CentralNodeOptions{});
+  ASSERT_TRUE(central.Start().ok());
+
+  constexpr uint64_t kFrames[2] = {8, 16};
+  std::vector<std::unique_ptr<RegionalNode>> regions;
+  for (uint32_t id = 0; id < 2; ++id) {
+    RegionalNodeOptions options;
+    options.region_id = id;
+    options.central_port = central.port();
+    options.push_stats = true;
+    regions.push_back(
+        std::make_unique<RegionalNode>(params, kEpsilon, options));
+    ASSERT_TRUE(regions.back()->Start().ok());
+  }
+
+  std::vector<uint64_t> values(100);
+  for (size_t i = 0; i < values.size(); ++i) values[i] = i % 37;
+  std::vector<LdpReport> reports(values.size());
+  Xoshiro256 rng(17);
+  LdpJoinSketchClient(params, kEpsilon).PerturbBatch(values, reports, rng);
+  FrameSender::Options traced;
+  traced.trace_every = 1;  // every frame TRACED
+  for (uint32_t id = 0; id < 2; ++id) {
+    auto sender = FrameSender::Connect("127.0.0.1", regions[id]->port(),
+                                       params, kEpsilon, traced);
+    ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+    for (uint64_t f = 0; f < kFrames[id]; ++f) {
+      ASSERT_TRUE(sender->SendReports(reports).ok());
+      // Absorb barrier + republish: one ingest-to-queryable record each.
+      ASSERT_TRUE(sender->Ping().ok());
+    }
+    ASSERT_TRUE(sender->Finish().ok());
+  }
+  // The flush ships the epoch and forces a final stats push.
+  for (auto& region : regions) ASSERT_TRUE(region->FlushAndStop().ok());
+
+  const FleetView view = central.CurrentFleetView();
+  ASSERT_EQ(view.regions.size(), 2u);
+  uint64_t own_i2q = 0;
+  for (uint32_t id = 0; id < 2; ++id) {
+    SCOPED_TRACE("region " + std::to_string(id));
+    const MetricsRegistry::Snapshot& pushed = view.regions[id].snapshot.stats;
+    const MetricsRegistry::Snapshot own =
+        regions[id]->server().registry().TakeSnapshot();
+    EXPECT_EQ(SeriesValue(pushed.histograms, "shard0_absorb_ns").count,
+              kFrames[id]);
+    EXPECT_EQ(SeriesValue(pushed.histograms, "ingest_to_queryable_ns").count,
+              kFrames[id]);
+    EXPECT_EQ(SeriesValue(pushed.histograms, "ship_rtt_ns").count,
+              regions[id]->epochs_shipped());
+    // No other node's series: the push holds exactly the histograms the
+    // region's own registry holds.
+    ASSERT_EQ(pushed.histograms.size(), own.histograms.size());
+    for (size_t h = 0; h < own.histograms.size(); ++h) {
+      EXPECT_EQ(pushed.histograms[h].first, own.histograms[h].first);
+    }
+    own_i2q += SeriesValue(own.histograms, "ingest_to_queryable_ns").count;
+  }
+  EXPECT_EQ(SeriesValue(view.merged.histograms, "shard0_absorb_ns").count,
+            kFrames[0] + kFrames[1]);
+  EXPECT_EQ(
+      SeriesValue(view.merged.histograms, "ingest_to_queryable_ns").count,
+      own_i2q);
+  central.Stop();
+}
+
 }  // namespace
 }  // namespace ldpjs
+

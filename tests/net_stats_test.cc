@@ -1,6 +1,6 @@
-// The stats surface: one serializer behind NetMetricsToJson, the SIGUSR1
-// dump, the JSONL exporter, and the LJSP STATS frame. The acceptance
-// bar has three parts:
+// The stats surface: one serializer (StatsToJson, behind
+// FrameServer::StatsJson) for the SIGUSR1 dump, the JSONL exporter, and the
+// LJSP STATS frame. The acceptance bar has three parts:
 //   1. Schema compatibility — every NetMetrics JSON key that existed
 //      before the observability layer still appears, by exact name, so
 //      dashboards scraping the SIGUSR1 dump survive the upgrade.
@@ -17,7 +17,6 @@
 #include "core/ldp_join_sketch.h"
 #include "net/frame_sender.h"
 #include "net/frame_server.h"
-#include "net/net_metrics.h"
 #include "net/protocol.h"
 #include "obs/metrics.h"
 #include "obs/stats_export.h"
@@ -33,7 +32,7 @@ SketchParams TestParams(int k = 6, int m = 256, uint64_t seed = 21) {
   return params;
 }
 
-/// Every top-level key the pre-observability NetMetricsToJson emitted.
+/// Every top-level key the pre-observability NetMetrics JSON emitted.
 /// Renaming or dropping any of these breaks deployed scrapers — the list
 /// is frozen; additions are fine.
 const char* const kLegacyKeys[] = {
@@ -54,7 +53,8 @@ void ExpectHasKey(const std::string& json, const std::string& key) {
 }
 
 TEST(NetStatsTest, LegacyJsonKeysUnchanged) {
-  const std::string json = NetMetricsToJson(NetMetrics{});
+  const std::string json =
+      StatsToJson(NetMetrics{}, MetricsRegistry::Snapshot{});
   for (const char* key : kLegacyKeys) ExpectHasKey(json, key);
 }
 
@@ -63,7 +63,7 @@ TEST(NetStatsTest, RegistrySerializationAddsObsSection) {
   registry.GetCounter("widgets")->Add(3);
   registry.GetGauge("view_last_publish_unix_ns")->Set(NowNanos());
   registry.GetHistogram("ingest_to_queryable_ns")->Record(2000000);
-  const std::string json = StatsToJson(NetMetrics{}, &registry);
+  const std::string json = StatsToJson(NetMetrics{}, registry.TakeSnapshot());
   for (const char* key : kLegacyKeys) ExpectHasKey(json, key);
   ExpectHasKey(json, "ingest_to_queryable_p50_ms");
   ExpectHasKey(json, "ingest_to_queryable_p99_ms");
@@ -79,7 +79,7 @@ TEST(NetStatsTest, RegistrySerializationAddsObsSection) {
       << json;
   // An EMPTY registry still emits the SLO keys, as finite numbers.
   MetricsRegistry empty;
-  const std::string bare = StatsToJson(NetMetrics{}, &empty);
+  const std::string bare = StatsToJson(NetMetrics{}, empty.TakeSnapshot());
   EXPECT_NE(bare.find("\"ingest_to_queryable_p99_ms\":0"),
             std::string::npos)
       << bare;
@@ -157,7 +157,7 @@ TEST(NetStatsTest, PerKindRejectionsGetOwnRows) {
     }
   }
   EXPECT_TRUE(found) << "no frequent_items row in query_rejected_kinds";
-  const std::string json = NetMetricsToJson(m);
+  const std::string json = StatsToJson(m, server.registry().TakeSnapshot());
   EXPECT_NE(json.find("\"query_rejected_kinds\":{\"frequent_items\":1}"),
             std::string::npos)
       << json;

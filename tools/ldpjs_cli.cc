@@ -35,12 +35,13 @@
 // --sender-index i` streams only every Nth client block (same RNG streams),
 // so N senders across regions partition exactly one table.
 //
-// All serving subcommands dump a stats JSON snapshot on SIGUSR1 and at exit
-// (stdout, plus --metrics-json FILE when set) — shed/corrupt/queue-high-
-// water/per-region counters plus the obs registry's latency histograms —
-// and can append the same JSON periodically with --stats-jsonl FILE
-// --stats-period N. `ldpjs_cli stats --port P [--watch N]` scrapes the
-// identical snapshot from a live server over LJSP (see RunStats);
+// All serving subcommands dump their node's stats JSON on SIGUSR1 and at
+// exit (stdout, plus --metrics-json FILE when set) — shed/corrupt/queue-
+// high-water/per-region counters, the node's registry histograms, and the
+// health/fleet/events sections — and can append the same JSON periodically
+// with --stats-jsonl FILE --stats-period N. `ldpjs_cli stats --port P
+// [--watch N]` scrapes the identical string from a live server over LJSP
+// (see RunStats);
 // `stats --cluster` and `top` scrape the central's fleet view — per-region
 // STATS_PUSH snapshots, exactly-merged cluster histograms, health states
 // (see RunTop).
@@ -58,7 +59,6 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
-#include <functional>
 #include <optional>
 #include <string>
 #include <thread>
@@ -80,7 +80,6 @@
 #include "obs/fleet_stats.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
-#include "obs/stats_export.h"
 #include "service/published_view.h"
 #include "service/query_engine.h"
 #include "tools/flags.h"
@@ -171,68 +170,9 @@ bool ReadFile(const std::string& path, std::vector<uint8_t>& bytes) {
   return ok;
 }
 
-void DumpMetrics(const NetMetrics& metrics) {
-  std::printf("connections    : %llu accepted, %llu rejected handshakes\n",
-              static_cast<unsigned long long>(metrics.connections_accepted),
-              static_cast<unsigned long long>(metrics.handshakes_rejected));
-  std::printf("frames         : %llu ok, %llu corrupt rejected, %llu shed\n",
-              static_cast<unsigned long long>(metrics.frames_received),
-              static_cast<unsigned long long>(metrics.corrupt_frames_rejected),
-              static_cast<unsigned long long>(metrics.frames_shed));
-  std::printf("bytes          : %llu\n",
-              static_cast<unsigned long long>(metrics.bytes_received));
-  std::printf("reports        : %llu\n",
-              static_cast<unsigned long long>(metrics.reports_ingested));
-  std::printf("queue high-water: %llu frames\n",
-              static_cast<unsigned long long>(metrics.queue_high_water));
-  std::printf("robustness     : %llu retries (%llu ms backoff), %llu accept "
-              "failures (%llu fatal), %llu idle reaped, %llu faults "
-              "injected\n",
-              static_cast<unsigned long long>(metrics.retries_attempted),
-              static_cast<unsigned long long>(metrics.backoff_millis),
-              static_cast<unsigned long long>(metrics.accept_failures),
-              static_cast<unsigned long long>(metrics.accept_fatal),
-              static_cast<unsigned long long>(metrics.idle_reaped),
-              static_cast<unsigned long long>(metrics.faults_injected));
-  if (metrics.spool_bytes_written > 0 || metrics.spool_bytes_resumed > 0) {
-    std::printf("spool          : %llu bytes written, %llu bytes / %llu "
-                "epochs resumed\n",
-                static_cast<unsigned long long>(metrics.spool_bytes_written),
-                static_cast<unsigned long long>(metrics.spool_bytes_resumed),
-                static_cast<unsigned long long>(
-                    metrics.spool_epochs_resumed));
-  }
-  for (const ConnectionMetrics& c : metrics.connections) {
-    std::printf(
-        "  conn %llu: frames=%llu bytes=%llu reports=%llu corrupt=%llu "
-        "shed=%llu\n",
-        static_cast<unsigned long long>(c.id),
-        static_cast<unsigned long long>(c.frames_received),
-        static_cast<unsigned long long>(c.bytes_received),
-        static_cast<unsigned long long>(c.reports_ingested),
-        static_cast<unsigned long long>(c.corrupt_frames_rejected),
-        static_cast<unsigned long long>(c.frames_shed));
-  }
-  for (size_t s = 0; s < metrics.shards.size(); ++s) {
-    std::printf("  shard %zu: frames=%llu reports=%llu hwm=%llu\n", s,
-                static_cast<unsigned long long>(metrics.shards[s].frames),
-                static_cast<unsigned long long>(metrics.shards[s].reports),
-                static_cast<unsigned long long>(
-                    metrics.shards[s].queue_high_water));
-  }
-  for (const RegionMetrics& r : metrics.regions) {
-    std::printf(
-        "  region %u: epochs=%llu dup=%llu reports=%llu bytes=%llu\n",
-        r.region_id, static_cast<unsigned long long>(r.epochs_applied),
-        static_cast<unsigned long long>(r.duplicates_ignored),
-        static_cast<unsigned long long>(r.reports_merged),
-        static_cast<unsigned long long>(r.snapshot_bytes));
-  }
-}
-
 // ---------------------------------------------------------------------------
-// NetMetrics-as-JSON for ops: every serving subcommand dumps on SIGUSR1 and
-// at exit, to stdout and optionally to --metrics-json FILE.
+// Stats JSON for ops: every serving subcommand dumps its node's StatsJson()
+// on SIGUSR1 and at exit, to stdout and optionally to --metrics-json FILE.
 // ---------------------------------------------------------------------------
 
 volatile std::sig_atomic_t g_metrics_dump_requested = 0;
@@ -241,9 +181,9 @@ void HandleSigusr1(int) { g_metrics_dump_requested = 1; }
 
 class MetricsWatcher {
  public:
-  MetricsWatcher(std::function<NetMetrics()> source, std::string json_path,
+  MetricsWatcher(const FrameServer& server, std::string json_path,
                  std::string jsonl_path = "", int jsonl_period_seconds = 0)
-      : source_(std::move(source)),
+      : server_(server),
         json_path_(std::move(json_path)),
         jsonl_path_(std::move(jsonl_path)),
         jsonl_period_seconds_(jsonl_period_seconds) {
@@ -278,15 +218,10 @@ class MetricsWatcher {
     if (!jsonl_path_.empty()) AppendJsonl();  // the at-exit sample
   }
 
-  /// One JSON snapshot through the same serializer as the STATS frame —
-  /// the SIGUSR1 dump, the STATS scrape, and the JSONL export can never
-  /// drift apart in shape.
-  std::string Snapshot() const {
-    return StatsToJson(source_(), &MetricsRegistry::Default());
-  }
-
   void Dump() {
-    const std::string json = Snapshot();
+    // The string a STATS scrape returns: the SIGUSR1 dump, the STATS frame
+    // and the JSONL export are one rendering, not three.
+    const std::string json = server_.StatsJson();
     std::printf("NETMETRICS %s\n", json.c_str());
     std::fflush(stdout);
     if (!json_path_.empty()) {
@@ -300,7 +235,7 @@ class MetricsWatcher {
   }
 
   void AppendJsonl() {
-    const std::string json = Snapshot();
+    const std::string json = server_.StatsJson();
     std::FILE* f = std::fopen(jsonl_path_.c_str(), "ab");
     if (f != nullptr) {
       std::fwrite(json.data(), 1, json.size(), f);
@@ -310,7 +245,7 @@ class MetricsWatcher {
   }
 
  private:
-  std::function<NetMetrics()> source_;
+  const FrameServer& server_;
   std::string json_path_;
   std::string jsonl_path_;
   int jsonl_period_seconds_;
@@ -342,7 +277,7 @@ void DefineServerFlags(tools::Flags& flags) {
                "(0 = off; regional shippers legitimately idle between "
                "epochs, so arm it only when the traffic cadence is known)");
   flags.Define("metrics-json", "",
-               "also write the SIGUSR1/exit NetMetrics JSON here");
+               "also write the SIGUSR1/exit stats JSON here");
   flags.Define("stats-jsonl", "",
                "append a stats JSON line (same schema as the STATS frame "
                "and SIGUSR1 dump) here every --stats-period seconds");
@@ -355,8 +290,8 @@ void DefineServerFlags(tools::Flags& flags) {
 }
 
 MetricsWatcher MakeWatcher(const tools::Flags& flags,
-                           std::function<NetMetrics()> source) {
-  return MetricsWatcher(std::move(source), flags.GetString("metrics-json"),
+                           const FrameServer& server) {
+  return MetricsWatcher(server, flags.GetString("metrics-json"),
                         flags.GetString("stats-jsonl"),
                         static_cast<int>(flags.GetInt("stats-period")));
 }
@@ -404,17 +339,13 @@ int RunServe(int argc, char** argv) {
               flags.GetString("backpressure").c_str());
   std::fflush(stdout);
 
-  NetMetrics metrics;
   LdpJoinSketchServer sketch(params, flags.GetDouble("epsilon"));
   {
-    MetricsWatcher watcher =
-        MakeWatcher(flags, [&server] { return server.metrics(); });
+    MetricsWatcher watcher = MakeWatcher(flags, server);
     server.WaitForFinalizeRequest();
     server.Stop();
-    metrics = server.metrics();
     sketch = server.Finalize();
   }
-  DumpMetrics(metrics);
   std::printf("finalized sketch: %llu reports\n",
               static_cast<unsigned long long>(sketch.total_reports()));
   const std::string out = flags.GetString("out");
@@ -476,14 +407,11 @@ int RunFederateCentral(int argc, char** argv) {
               options.finalize_after);
   std::fflush(stdout);
 
-  NetMetrics metrics;
   LdpJoinSketchServer sketch(params, flags.GetDouble("epsilon"));
   {
-    MetricsWatcher watcher =
-        MakeWatcher(flags, [&central] { return central.metrics(); });
+    MetricsWatcher watcher = MakeWatcher(flags, central.server());
     central.WaitForRegions();
     central.Stop();
-    metrics = central.metrics();
     if (central.windowed()) {
       // The windowed deployment's answer: the last --window aligned
       // epochs, from the incrementally cached view.
@@ -503,11 +431,11 @@ int RunFederateCentral(int argc, char** argv) {
       sketch = central.Finalize();
     }
   }
-  DumpMetrics(metrics);
   std::printf("%s sketch: %llu reports (%llu epochs applied centrally)\n",
               central.windowed() ? "windowed" : "finalized",
               static_cast<unsigned long long>(sketch.total_reports()),
-              static_cast<unsigned long long>(metrics.epochs_applied));
+              static_cast<unsigned long long>(
+                  central.metrics().epochs_applied));
   const std::string out = flags.GetString("out");
   if (!out.empty()) {
     const std::vector<uint8_t> bytes = sketch.Serialize();
@@ -579,12 +507,10 @@ int RunFederateRegion(int argc, char** argv) {
               options.server.num_shards, options.epoch_millis);
   std::fflush(stdout);
 
-  NetMetrics metrics;
   {
-    // region.metrics() (not the bare ingest server's): includes the ship
-    // retry/backoff counters and spool traffic.
-    MetricsWatcher watcher =
-        MakeWatcher(flags, [&region] { return region.metrics(); });
+    // The region's server renders region.metrics(), not its bare counters:
+    // the dump includes the ship retry/backoff counters and spool traffic.
+    MetricsWatcher watcher = MakeWatcher(flags, region.server());
     // A client FINALIZE is the "this region's collection is complete"
     // signal: flush everything upstream and forward the FINALIZE.
     region.server_mutable().WaitForFinalizeRequest();
@@ -601,7 +527,6 @@ int RunFederateRegion(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(500));
       flushed = region.FlushAndStop();
     }
-    metrics = region.metrics();
     if (!flushed.ok()) {
       std::fprintf(stderr,
                    "flush failed; %zu pending snapshots are LOST with this "
@@ -610,7 +535,6 @@ int RunFederateRegion(int argc, char** argv) {
       return 1;
     }
   }
-  DumpMetrics(metrics);
   std::printf("region %u flushed: %llu epochs shipped, %llu snapshot bytes, "
               "%llu ship retries\n",
               options.region_id,
@@ -1166,42 +1090,36 @@ void RenderFleetView(const FleetView& view, const std::string& target) {
               "STATE", "FRONTIER", "PENDING", "I2Q-P50", "I2Q-P99",
               "SHIP-RTT-P99", "SHED", "AGE");
   for (const FleetRegionView& region : view.regions) {
+    const MetricsRegistry::Snapshot& stats = region.snapshot.stats;
     const HistogramSnapshot i2q =
-        FleetHistogramByName(region.snapshot.stats, "ingest_to_queryable_ns");
-    const HistogramSnapshot rtt =
-        FleetHistogramBySuffix(region.snapshot.stats, "_ship_rtt_ns");
-    uint64_t shed = 0;
-    for (const auto& [name, value] : region.snapshot.stats.counters) {
-      if (name == "net_frames_shed") shed = value;
-    }
+        SeriesValue(stats.histograms, "ingest_to_queryable_ns");
+    const HistogramSnapshot rtt = SeriesValue(stats.histograms, "ship_rtt_ns");
     std::printf(
         "%-8u %-9s %9llu %8llu %10s %10s %12s %8llu %8s\n",
         region.snapshot.region_id,
         std::string(HealthStateName(region.health.state)).c_str(),
         static_cast<unsigned long long>(
-            FleetGaugeByName(region.snapshot.stats, "net_frontier_epoch")),
+            SeriesValue(stats.gauges, "net_frontier_epoch")),
         static_cast<unsigned long long>(
-            FleetGaugeByName(region.snapshot.stats, "net_pending_epochs")),
+            SeriesValue(stats.gauges, "net_pending_epochs")),
         FormatNanos(i2q.Percentile(0.50)).c_str(),
         FormatNanos(i2q.Percentile(0.99)).c_str(),
         FormatNanos(rtt.Percentile(0.99)).c_str(),
-        static_cast<unsigned long long>(shed),
+        static_cast<unsigned long long>(
+            SeriesValue(stats.counters, "net_frames_shed")),
         FormatNanos(static_cast<double>(region.age_ns)).c_str());
   }
   const HistogramSnapshot merged_i2q =
-      FleetHistogramByName(view.merged, "ingest_to_queryable_ns");
-  uint64_t frames = 0, reports = 0;
-  for (const auto& [name, value] : view.merged.counters) {
-    if (name == "net_frames_received") frames = value;
-    if (name == "net_reports_ingested") reports = value;
-  }
+      SeriesValue(view.merged.histograms, "ingest_to_queryable_ns");
   std::printf("CLUSTER  i2q p50=%s p99=%s (n=%llu)  frames=%llu "
               "reports=%llu\n",
               FormatNanos(merged_i2q.Percentile(0.50)).c_str(),
               FormatNanos(merged_i2q.Percentile(0.99)).c_str(),
               static_cast<unsigned long long>(merged_i2q.count),
-              static_cast<unsigned long long>(frames),
-              static_cast<unsigned long long>(reports));
+              static_cast<unsigned long long>(
+                  SeriesValue(view.merged.counters, "net_frames_received")),
+              static_cast<unsigned long long>(
+                  SeriesValue(view.merged.counters, "net_reports_ingested")));
 }
 
 int RunTop(int argc, char** argv) {
