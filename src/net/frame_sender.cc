@@ -101,7 +101,7 @@ Status FrameSender::SendTracedBatch(std::span<const uint8_t> envelope,
   for (int attempt = 0;; ++attempt) {
     LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, type, wire));
     ++frames_sent_;
-    bytes_sent_ += 5 + wire.size();
+    bytes_sent_ += kNetFrameHeaderBytes + wire.size();
     if (send_start_ns != 0 && attempt == 0) {
       // The client-side span covers origin (encode start) → handed to the
       // kernel; the server's queue span picks up from its enqueue.
@@ -176,7 +176,7 @@ Result<EpochPushAck> FrameSender::PushEpochSnapshotTraced(
   }
   LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, type, payload));
   ++frames_sent_;
-  bytes_sent_ += 5 + payload.size();
+  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
   auto reply = ReadReply();
   if (!reply.ok()) return reply.status();
   if (reply->type != NetFrameType::kEpochPushOk) {
@@ -203,7 +203,7 @@ Status FrameSender::PushStats(const FleetSnapshot& snapshot) {
   LDPJS_RETURN_IF_ERROR(
       WriteNetFrame(socket_, NetFrameType::kStatsPush, payload));
   ++frames_sent_;
-  bytes_sent_ += 5 + payload.size();
+  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
   auto reply = ReadReply();
   if (!reply.ok()) return reply.status();
   if (reply->type != NetFrameType::kStatsPushOk) {
@@ -251,7 +251,7 @@ Result<QueryResponse> FrameSender::Query(const QueryRequest& request) {
   }
   LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, NetFrameType::kQuery, payload));
   ++frames_sent_;
-  bytes_sent_ += 5 + payload.size();
+  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
   auto reply = ReadReply();
   if (!reply.ok()) return reply.status();
   if (reply->type != NetFrameType::kQueryOk) {

@@ -6,33 +6,41 @@
 // net/protocol.h), and feeds every decoded DATA frame into a
 // ShardedAggregator.
 //
-// Threading model (shard-affine multi-pump ingest):
+// Threading model (shard-affine ingest, small frames run to completion):
 //   - one acceptor thread;
 //   - one reader thread per connection, which does the HELLO handshake,
-//     parses transport frames and dispatches each through one route table
-//     (RouteFor): DATA frames go onto bounded *per-shard* ingest queues
-//     (connection-local round-robin), every other request is handled on
-//     the reader thread itself;
-//   - one ingest pump thread per shard, the sole writer of that shard's
-//     lanes, draining that shard's queue. N shards ingest on N cores.
+//     reads frames through the connection's FrameReader buffer and
+//     dispatches each through one route table (RouteFor). A DATA frame is
+//     routed to a shard connection-local round-robin. A small one (at most
+//     kInlineAbsorbMaxReports reports, read from the frame's length) is
+//     absorbed right there on the reader, under that shard's lock; a larger
+//     one goes onto the shard's bounded queue. Every other request is
+//     handled on the reader thread itself;
+//   - one ingest pump thread per shard, draining that shard's queue. A
+//     small frame costs one absorb instead of a cross-thread handoff, and
+//     N shards' pumps still spread bulk frames over N cores.
 //
 // Ordering: a control frame (SNAPSHOT / PING / EPOCH_PUSH / FINALIZE / BYE)
 // is handled only after every DATA frame its connection sent before it has
-// been absorbed (the reader waits for its in-flight count to reach zero),
-// so SNAPSHOT_DATA / BYE_OK keep their "everything you sent is in the
+// been absorbed: inline frames are absorbed before the reader reads on, and
+// for queued ones the reader waits for its in-flight count to reach zero.
+// So SNAPSHOT_DATA / BYE_OK keep their "everything you sent is in the
 // lanes" guarantee. Ordering across connections is unspecified, which is
 // fine — raw integer lanes make the merged sketch independent of frame
-// routing and interleaving (the service exactness invariant), which is also
-// why multi-pump ingest is bit-identical to the old single-pump server.
+// routing, interleaving and absorbing thread (the service exactness
+// invariant), which is also why either path is bit-identical to a direct
+// absorb.
 //
 // Backpressure (bounded memory): each shard's queue holds at most
 // `queue_capacity` frames. kBlock parks the reader until the pump makes
 // space — the kernel receive buffer fills and TCP flow control pushes back
-// on the client. kShed refuses the DATA frame with a retriable busy ack
-// instead (the client retries; see FrameSender). Control frames are never
-// queued, so they are never shed. Either way the server's memory is one
-// sketch per shard plus the shard queues — never proportional to client
-// traffic.
+// on the client. kShed refuses a queued DATA frame with a retriable busy
+// ack instead (the client retries; see FrameSender). Inline DATA frames
+// and control frames are never queued, so they never wait for space and
+// are never shed; an inline frame's absorbed ack goes out after its
+// absorb. Either way the server's memory is one sketch per shard, the
+// shard queues and one read buffer per live connection — never
+// proportional to client traffic.
 //
 // Untrusted input: a malformed transport frame, an oversized length prefix,
 // a frame type clients may not send, a corrupt LJSB envelope or pushed
@@ -236,7 +244,8 @@ class FrameServer {
     /// annotated methods are where the analysis enforces it.
     Mutex write_mu;
     bool reader_done = false;  ///< guarded by FrameServer::mu_
-    uint64_t data_inflight = 0;  ///< queued-but-unabsorbed DATA; mu_
+    /// Queued-but-unabsorbed DATA (inline frames never count); mu_.
+    uint64_t data_inflight = 0;
     size_t next_shard = 0;     ///< connection-local round-robin cursor
     std::atomic<uint64_t> frames_received{0};
     std::atomic<uint64_t> bytes_received{0};
@@ -285,15 +294,17 @@ class FrameServer {
 
   /// One client frame as a route handler sees it. A TRACED envelope is
   /// already unwrapped: `type` is the inner type, `trace` its context, and
-  /// payload() the inner payload. `bytes` stays the owned outer payload, so
-  /// DATA moves it into the shard queue without a copy.
+  /// payload() the inner payload. `wire` stays the outer frame as the
+  /// connection's FrameReader returned it — usually a view of its buffer,
+  /// valid only until the next read — so only a DATA frame bound for a
+  /// pump takes its bytes over (TakePayload).
   struct InboundFrame {
     NetFrameType type = NetFrameType::kData;
-    std::vector<uint8_t> bytes;
+    BufferedFrame wire;
     size_t offset = 0;   ///< inner payload start (past a TRACED header)
     TraceContext trace;  ///< inactive unless the frame was TRACED
     std::span<const uint8_t> payload() const {
-      return std::span<const uint8_t>(bytes).subspan(offset);
+      return wire.payload().subspan(offset);
     }
   };
   /// Handles one routed frame. Returns false when the session is over —
@@ -311,12 +322,23 @@ class FrameServer {
   static const FrameRoute* RouteFor(NetFrameType type);
 
   void AcceptLoop();
-  /// The HELLO handshake. Returns whether the session is open; on a
-  /// refusal the peer has been sent ERROR and its socket is shut down.
-  bool OpenSession(Connection& conn);
+  /// The HELLO handshake, read through the connection's `reader`. Returns
+  /// whether the session is open; on a refusal the peer has been sent
+  /// ERROR and its socket is shut down.
+  bool OpenSession(Connection& conn, FrameReader& reader);
   void ReaderLoop(Connection* conn);
   void PumpLoop(size_t shard);
-  void ProcessData(size_t shard, PumpItem& item);
+  /// The one absorb routine, run by a shard's pump for a queued frame and
+  /// by the reader for an inline one: ingests `payload` into `shard` under
+  /// its lock and counts it. From `start_ns` (0 when obs is off) it records
+  /// the shard's absorb time and, for a traced frame, the shard_absorb span.
+  /// `enqueue_ns` is a queued frame's admission time, whose wait it records
+  /// with the server_queue span; 0 for an inline frame, which has no queue
+  /// stage. A corrupt envelope touches no lane and is RejectCorrupt'ed.
+  /// Returns whether the frame was absorbed.
+  bool AbsorbData(Connection& conn, size_t shard,
+                  std::span<const uint8_t> payload, const TraceContext& trace,
+                  uint64_t enqueue_ns, uint64_t start_ns);
   /// Blocks until every DATA frame `conn` enqueued has been absorbed — the
   /// ordering barrier control frames ride on.
   void WaitConnDrained(Connection* conn);

@@ -1,5 +1,7 @@
 #include "net/protocol.h"
 
+#include <cstring>
+
 #include "core/ldp_join_sketch.h"
 
 namespace ldpjs {
@@ -17,6 +19,17 @@ Status CheckVersion(uint8_t version) {
   return Status::FailedPrecondition(
       "LJSP version mismatch: peer speaks v" + std::to_string(version) +
       ", this build speaks only v" + std::to_string(kNetVersion));
+}
+
+/// Receives the rest of a payload whose header was already read. A close
+/// before its first byte is still a truncation — the peer promised these
+/// bytes — so it is Corruption, never end-of-stream.
+Status RecvPayload(const Socket& socket, std::span<uint8_t> rest) {
+  const Status status = socket.RecvAll(rest);
+  if (status.code() == StatusCode::kNotFound) {
+    return Status::Corruption("connection closed mid-frame");
+  }
+  return status;
 }
 
 }  // namespace
@@ -392,26 +405,9 @@ Status DecodeErrorPayload(std::span<const uint8_t> payload) {
   return Status(static_cast<StatusCode>(code), std::move(message));
 }
 
-Status WriteNetFrame(const Socket& socket, NetFrameType type,
-                     std::span<const uint8_t> payload) {
-  LDPJS_CHECK(payload.size() <= kMaxControlFramePayload);
-  // Gathered write: header + payload leave as one segment/syscall even on
-  // an idle TCP_NODELAY connection, and stay allocation-free.
-  uint8_t header[5];
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  header[0] = static_cast<uint8_t>(len);
-  header[1] = static_cast<uint8_t>(len >> 8);
-  header[2] = static_cast<uint8_t>(len >> 16);
-  header[3] = static_cast<uint8_t>(len >> 24);
-  header[4] = static_cast<uint8_t>(type);
-  return socket.SendAllV(header, payload);
-}
-
-Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload) {
-  uint8_t header[5];
-  // RecvAll distinguishes a close on the frame boundary (NotFound — the
-  // peer is simply done) from a close inside the header (Corruption).
-  LDPJS_RETURN_IF_ERROR(socket.RecvAll(header));
+Result<NetFrameHeader> ParseNetFrameHeader(
+    std::span<const uint8_t, kNetFrameHeaderBytes> header,
+    size_t max_payload) {
   const uint32_t len = static_cast<uint32_t>(header[0]) |
                        (static_cast<uint32_t>(header[1]) << 8) |
                        (static_cast<uint32_t>(header[2]) << 16) |
@@ -425,21 +421,94 @@ Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload) {
     return Status::Corruption("unknown frame type " +
                               std::to_string(header[4]));
   }
+  NetFrameHeader parsed;
+  parsed.type = static_cast<NetFrameType>(header[4]);
+  parsed.payload_len = len;
+  return parsed;
+}
+
+Status WriteNetFrame(const Socket& socket, NetFrameType type,
+                     std::span<const uint8_t> payload) {
+  LDPJS_CHECK(payload.size() <= kMaxControlFramePayload);
+  // Gathered write: header + payload leave as one segment/syscall even on
+  // an idle TCP_NODELAY connection, and stay allocation-free.
+  uint8_t header[kNetFrameHeaderBytes];
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  header[0] = static_cast<uint8_t>(len);
+  header[1] = static_cast<uint8_t>(len >> 8);
+  header[2] = static_cast<uint8_t>(len >> 16);
+  header[3] = static_cast<uint8_t>(len >> 24);
+  header[4] = static_cast<uint8_t>(type);
+  return socket.SendAllV(header, payload);
+}
+
+Result<NetFrame> ReadNetFrame(const Socket& socket, size_t max_payload) {
+  uint8_t header[kNetFrameHeaderBytes];
+  // RecvAll distinguishes a close on the frame boundary (NotFound — the
+  // peer is simply done) from a close inside the header (Corruption).
+  LDPJS_RETURN_IF_ERROR(socket.RecvAll(header));
+  auto parsed = ParseNetFrameHeader(header, max_payload);
+  if (!parsed.ok()) return parsed.status();
   NetFrame frame;
-  frame.type = static_cast<NetFrameType>(header[4]);
-  frame.payload.resize(len);
-  if (len > 0) {
-    const Status status = socket.RecvAll(frame.payload);
-    if (!status.ok()) {
-      // Truncation inside a declared payload is corruption even when the
-      // close itself was clean — the peer promised `len` more bytes.
-      if (status.code() == StatusCode::kNotFound) {
-        return Status::Corruption("connection closed mid-frame");
-      }
-      return status;
-    }
-  }
+  frame.type = parsed->type;
+  frame.payload.resize(parsed->payload_len);
+  const Status status = RecvPayload(socket, frame.payload);
+  if (!status.ok()) return status;
   return frame;
+}
+
+Result<BufferedFrame> FrameReader::Next(size_t max_payload) {
+  if (begin_ == end_) begin_ = end_ = 0;  // the whole buffer is free again
+  while (end_ - begin_ < kNetFrameHeaderBytes) {
+    if (begin_ + kNetFrameHeaderBytes > buffer_.size()) Compact();
+    LDPJS_RETURN_IF_ERROR(Fill(/*at_boundary=*/begin_ == end_));
+  }
+  auto parsed = ParseNetFrameHeader(
+      std::span<const uint8_t, kNetFrameHeaderBytes>(buffer_.data() + begin_,
+                                                     kNetFrameHeaderBytes),
+      max_payload);
+  if (!parsed.ok()) return parsed.status();
+  begin_ += kNetFrameHeaderBytes;
+  const size_t len = parsed->payload_len;
+  BufferedFrame frame;
+  frame.type = parsed->type;
+  if (len <= buffer_.size()) {
+    if (begin_ + len > buffer_.size()) Compact();
+    while (end_ - begin_ < len) {
+      LDPJS_RETURN_IF_ERROR(Fill(/*at_boundary=*/false));
+    }
+    frame.buffered = std::span<const uint8_t>(buffer_.data() + begin_, len);
+    begin_ += len;
+    return frame;
+  }
+  // Larger than the whole buffer: what is buffered is a prefix of this
+  // payload (never of the next frame), and the rest bypasses the buffer.
+  const size_t prefix = end_ - begin_;
+  frame.owned.resize(len);
+  std::memcpy(frame.owned.data(), buffer_.data() + begin_, prefix);
+  begin_ = end_ = 0;
+  const Status status = RecvPayload(
+      socket_, std::span<uint8_t>(frame.owned).subspan(prefix));
+  if (!status.ok()) return status;
+  return frame;
+}
+
+Status FrameReader::Fill(bool at_boundary) {
+  auto received = socket_.RecvSome(
+      std::span<uint8_t>(buffer_.data() + end_, buffer_.size() - end_));
+  if (!received.ok()) return received.status();
+  if (*received == 0) {
+    if (at_boundary) return Status::NotFound("end of stream");
+    return Status::Corruption("connection closed mid-frame");
+  }
+  end_ += *received;
+  return Status::OK();
+}
+
+void FrameReader::Compact() {
+  std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+  end_ -= begin_;
+  begin_ = 0;
 }
 
 }  // namespace ldpjs

@@ -35,7 +35,9 @@ struct TraceContext {
 
 /// One timed stage of a traced batch's life. Stage names used by the
 /// shipped tiers: client_encode, client_send, server_queue, shard_absorb,
-/// epoch_cut, regional_ship, central_merge, view_publish, query_serve.
+/// epoch_cut, regional_ship, central_merge, view_publish, query_serve. A
+/// small DATA frame is absorbed inline on its connection's reader and never
+/// queued, so it has no server_queue span.
 struct TraceSpan {
   uint64_t trace_id = 0;
   std::string stage;

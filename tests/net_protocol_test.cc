@@ -1,8 +1,14 @@
 // LJSP transport + handshake codec: framing round trips, every truncation/
 // corruption surfaces as a clean Status (these run under the CI ASan/UBSan
-// job), and clean end-of-stream is distinguishable from a mid-frame cut.
+// job), and clean end-of-stream is distinguishable from a mid-frame cut —
+// for ReadNetFrame and the server's buffered FrameReader alike.
 #include <sys/socket.h>
 
+#include <chrono>
+#include <functional>
+#include <memory>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -296,41 +302,71 @@ TEST(NetProtocolTest, WireFrameLayout) {
   EXPECT_EQ(bytes[7], 0xCC);
 }
 
-TEST(NetProtocolTest, WriteThenReadOverSocket) {
+/// Reads one socket's frames as owned NetFrames, through ReadNetFrame or a
+/// FrameReader, so every socket case below runs against both readers.
+using FrameSource = std::function<Result<NetFrame>(size_t max_payload)>;
+using FrameSourceFactory = FrameSource (*)(const Socket& socket);
+
+FrameSource Unbuffered(const Socket& socket) {
+  return [&socket](size_t max_payload) {
+    return ReadNetFrame(socket, max_payload);
+  };
+}
+
+FrameSource Buffered(const Socket& socket) {
+  auto reader = std::make_shared<FrameReader>(socket);
+  return [reader](size_t max_payload) -> Result<NetFrame> {
+    auto frame = reader->Next(max_payload);
+    if (!frame.ok()) return frame.status();
+    NetFrame owned;
+    owned.type = frame->type;
+    owned.payload = frame->TakePayload();
+    return owned;
+  };
+}
+
+class NetProtocolReadTest
+    : public ::testing::TestWithParam<FrameSourceFactory> {};
+
+TEST_P(NetProtocolReadTest, WriteThenReadOverSocket) {
   auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   ASSERT_TRUE(WriteNetFrame(a, NetFrameType::kData, payload).ok());
   ASSERT_TRUE(WriteNetFrame(a, NetFrameType::kBye, {}).ok());
-  auto first = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto first = read(kMaxIngestFramePayload);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->type, NetFrameType::kData);
   EXPECT_EQ(first->payload, payload);
-  auto second = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto second = read(kMaxIngestFramePayload);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->type, NetFrameType::kBye);
   EXPECT_TRUE(second->payload.empty());
 }
 
-TEST(NetProtocolTest, CleanCloseIsEndOfSessionNotCorruption) {
+TEST_P(NetProtocolReadTest, CleanCloseIsEndOfSessionNotCorruption) {
   auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
   a.Close();
-  auto frame = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto frame = read(kMaxIngestFramePayload);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kNotFound);
 }
 
-TEST(NetProtocolTest, MidHeaderCloseIsCorruption) {
+TEST_P(NetProtocolReadTest, MidHeaderCloseIsCorruption) {
   auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
   const uint8_t partial[3] = {9, 0, 0};  // 3 of the 5 header bytes
   ASSERT_TRUE(a.SendAll(partial).ok());
   a.Close();
-  auto frame = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto frame = read(kMaxIngestFramePayload);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
 }
 
-TEST(NetProtocolTest, MidPayloadCloseIsCorruption) {
+TEST_P(NetProtocolReadTest, MidPayloadCloseIsCorruption) {
   auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
   // Declares 100 payload bytes, delivers 10.
   const uint8_t header[5] = {100, 0, 0, 0,
                              static_cast<uint8_t>(NetFrameType::kData)};
@@ -338,13 +374,14 @@ TEST(NetProtocolTest, MidPayloadCloseIsCorruption) {
   ASSERT_TRUE(a.SendAll(header).ok());
   ASSERT_TRUE(a.SendAll(partial).ok());
   a.Close();
-  auto frame = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto frame = read(kMaxIngestFramePayload);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
 }
 
-TEST(NetProtocolTest, OversizedLengthPrefixRejectedWithoutReading) {
+TEST_P(NetProtocolReadTest, OversizedLengthPrefixRejectedWithoutReading) {
   auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
   // 16 MiB declared against a 64 KiB cap: must fail on the header alone.
   const uint32_t huge = 16u << 20;
   const uint8_t header[5] = {static_cast<uint8_t>(huge),
@@ -353,19 +390,131 @@ TEST(NetProtocolTest, OversizedLengthPrefixRejectedWithoutReading) {
                              static_cast<uint8_t>(huge >> 24),
                              static_cast<uint8_t>(NetFrameType::kData)};
   ASSERT_TRUE(a.SendAll(header).ok());
-  auto frame = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto frame = read(kMaxIngestFramePayload);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
 }
 
-TEST(NetProtocolTest, UnknownFrameTypeRejected) {
+TEST_P(NetProtocolReadTest, UnknownFrameTypeRejected) {
   auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
   const uint8_t header[5] = {0, 0, 0, 0, 0xEE};
   ASSERT_TRUE(a.SendAll(header).ok());
-  auto frame = ReadNetFrame(b, kMaxIngestFramePayload);
+  auto frame = read(kMaxIngestFramePayload);
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
 }
+
+/// Frame i of the multi-frame cases: a DATA payload of (37·i) % 327 bytes,
+/// each byte distinct per frame, so a frame read at the wrong offset shows.
+/// 100 of them make 16.5 KB, so frames straddle the end of FrameReader's
+/// buffer (at 8 KiB, one mid-header and one mid-payload).
+std::vector<uint8_t> NumberedPayload(size_t i) {
+  std::vector<uint8_t> payload((i * 37) % 327);
+  for (size_t j = 0; j < payload.size(); ++j) {
+    payload[j] = static_cast<uint8_t>(i * 7 + j);
+  }
+  return payload;
+}
+
+/// One DATA frame's wire bytes, header included, appended to `stream`.
+void AppendDataFrame(std::vector<uint8_t>& stream,
+                     const std::vector<uint8_t>& payload) {
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    stream.push_back(static_cast<uint8_t>(len >> shift));
+  }
+  stream.push_back(static_cast<uint8_t>(NetFrameType::kData));
+  stream.insert(stream.end(), payload.begin(), payload.end());
+}
+
+TEST_P(NetProtocolReadTest, HundredFramesInOneWrite) {
+  auto [a, b] = StreamPair();
+  FrameSource read = GetParam()(b);
+  std::vector<uint8_t> stream;
+  for (size_t i = 0; i < 100; ++i) AppendDataFrame(stream, NumberedPayload(i));
+  ASSERT_TRUE(a.SendAll(stream).ok());
+  a.Close();
+  for (size_t i = 0; i < 100; ++i) {
+    auto frame = read(kMaxIngestFramePayload);
+    ASSERT_TRUE(frame.ok()) << "frame " << i << ": "
+                            << frame.status().ToString();
+    EXPECT_EQ(frame->type, NetFrameType::kData);
+    EXPECT_EQ(frame->payload, NumberedPayload(i)) << "frame " << i;
+  }
+  EXPECT_EQ(read(kMaxIngestFramePayload).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST_P(NetProtocolReadTest, FrameWrittenOneByteAtATime) {
+  auto [a, b] = StreamPair();
+  b.SetRecvTimeout(10);  // a stalled writer fails the read, never hangs it
+  FrameSource read = GetParam()(b);
+  const std::vector<uint8_t> payload = NumberedPayload(37);
+  std::vector<uint8_t> bytes;
+  AppendDataFrame(bytes, payload);
+  std::thread writer([&a, &bytes] {
+    // A pause between single-byte sends, so each arrives in its own recv.
+    for (const uint8_t byte : bytes) {
+      EXPECT_TRUE(a.SendAll(std::span<const uint8_t>(&byte, 1)).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    EXPECT_TRUE(WriteNetFrame(a, NetFrameType::kBye, {}).ok());
+  });
+  auto frame = read(kMaxIngestFramePayload);
+  auto bye = read(kMaxIngestFramePayload);
+  b.ShutdownBoth();  // after a failed read, unblocks the writer
+  writer.join();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->type, NetFrameType::kData);
+  EXPECT_EQ(frame->payload, payload);
+  ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+  EXPECT_EQ(bye->type, NetFrameType::kBye);
+}
+
+TEST_P(NetProtocolReadTest, FrameLargerThanTheBufferArrivesIntact) {
+  auto [a, b] = StreamPair();
+  b.SetRecvTimeout(10);
+  FrameSource read = GetParam()(b);
+  SketchParams params;
+  params.k = 18;
+  params.m = 1024;
+  // An EPOCH_PUSH-sized payload, far larger than the read buffer, between
+  // two small frames: its buffered prefix and the rest must join exactly,
+  // and the next frame must start right after it.
+  std::vector<uint8_t> big(EpochPushPayloadBound(params));
+  ASSERT_GT(big.size(), FrameReader::kBufferBytes);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 131 + (i >> 9));
+  }
+  const std::vector<uint8_t> small = NumberedPayload(11);
+  std::thread writer([&] {
+    EXPECT_TRUE(WriteNetFrame(a, NetFrameType::kData, small).ok());
+    EXPECT_TRUE(WriteNetFrame(a, NetFrameType::kEpochPush, big).ok());
+    EXPECT_TRUE(WriteNetFrame(a, NetFrameType::kPing, small).ok());
+  });
+  auto first = read(kMaxControlFramePayload);
+  auto push = read(kMaxControlFramePayload);
+  auto last = read(kMaxControlFramePayload);
+  b.ShutdownBoth();  // after a failed read, unblocks the writer
+  writer.join();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->payload, small);
+  ASSERT_TRUE(push.ok()) << push.status().ToString();
+  EXPECT_EQ(push->type, NetFrameType::kEpochPush);
+  EXPECT_TRUE(push->payload == big);
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last->type, NetFrameType::kPing);
+  EXPECT_EQ(last->payload, small);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Readers, NetProtocolReadTest,
+    ::testing::Values(&Unbuffered, &Buffered),
+    [](const ::testing::TestParamInfo<FrameSourceFactory>& info) {
+      return info.param == &Unbuffered ? std::string("ReadNetFrame")
+                                       : std::string("FrameReader");
+    });
 
 }  // namespace
 }  // namespace ldpjs

@@ -1,10 +1,10 @@
 // Trace propagation end-to-end. The acceptance bar: a traced batch sent
 // over a real loopback LJSP session leaves exactly one span per tier it
 // crossed — client_send → server_queue → shard_absorb → view_publish on the
-// serve tier, plus epoch_cut → regional_ship → central_merge on the
-// federated path — with timestamps that never run backwards, and its
-// origin-to-publish latency lands in the registry's ingest_to_queryable_ns
-// histogram.
+// serve tier (a small batch, absorbed on the reader, has no server_queue),
+// plus epoch_cut → regional_ship → central_merge on the federated path —
+// with timestamps that never run backwards, and its origin-to-publish
+// latency lands in the registry's ingest_to_queryable_ns histogram.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "core/ldp_join_sketch.h"
 #include "federation/central_node.h"
 #include "federation/regional_node.h"
@@ -62,6 +63,17 @@ bool HasStage(const std::vector<TraceSpan>& spans, const std::string& stage) {
   });
 }
 
+/// A trace context whose id no earlier run in this process used: spans
+/// outlive a test in the process-wide TraceLog, so a fixed id would also
+/// collect an earlier --gtest_repeat iteration's spans.
+TraceContext FreshTrace() {
+  static uint64_t draws = 0;
+  TraceContext trace;
+  trace.trace_id = Mix64(NowNanos() + (++draws << 32)) | 1;  // never 0
+  trace.origin_ns = NowNanos();
+  return trace;
+}
+
 TEST(ObsTraceTest, ServeTierSpansMonotone) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
@@ -76,9 +88,8 @@ TEST(ObsTraceTest, ServeTierSpansMonotone) {
 
   const uint64_t i2q_before =
       server.registry().HistogramByName("ingest_to_queryable_ns").count;
-  TraceContext trace;
-  trace.trace_id = 0xFEEDBEEF12345678ull;
-  trace.origin_ns = NowNanos();
+  const TraceContext trace = FreshTrace();
+  // 500 reports: above the inline limit, so the frame goes through a pump.
   const std::vector<uint8_t> batch = EncodedBatch(params, epsilon, 500, 9);
   ASSERT_TRUE(sender->SendTracedBatch(batch, trace).ok());
   // The PING barrier absorbs the traced frame and republishes the view —
@@ -107,6 +118,43 @@ TEST(ObsTraceTest, ServeTierSpansMonotone) {
   const HistogramSnapshot i2q =
       server.registry().HistogramByName("ingest_to_queryable_ns");
   EXPECT_GE(i2q.count, i2q_before + 1);
+
+  ASSERT_TRUE(sender->Finish().ok());
+  server.Stop();
+}
+
+// A small batch runs to completion on the connection's reader: the chain
+// is client_send → shard_absorb → view_publish, with no queue stage.
+TEST(ObsTraceTest, InlineFrameSpansHaveNoQueueStage) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  FrameServerOptions options;
+  options.num_shards = 2;
+  FrameServer server(params, epsilon, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto sender =
+      FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+
+  const TraceContext trace = FreshTrace();
+  const std::vector<uint8_t> batch = EncodedBatch(params, epsilon, 64, 5);
+  ASSERT_TRUE(sender->SendTracedBatch(batch, trace).ok());
+  ASSERT_TRUE(sender->Ping().ok());
+
+  const std::vector<TraceSpan> spans =
+      TraceLog::Global().Collect(trace.trace_id);
+  EXPECT_FALSE(HasStage(spans, "server_queue"));
+  const TraceSpan client_send = SpanFor(spans, "client_send");
+  const TraceSpan shard_absorb = SpanFor(spans, "shard_absorb");
+  const TraceSpan view_publish = SpanFor(spans, "view_publish");
+  for (const TraceSpan& span : spans) {
+    EXPECT_LE(span.start_ns, span.end_ns) << span.stage;
+    EXPECT_GE(span.start_ns, trace.origin_ns) << span.stage;
+  }
+  EXPECT_EQ(client_send.start_ns, trace.origin_ns);
+  EXPECT_LE(shard_absorb.end_ns, view_publish.end_ns);
+  EXPECT_EQ(server.registry().HistogramByName("shard0_queue_wait_ns").count,
+            0u);
 
   ASSERT_TRUE(sender->Finish().ok());
   server.Stop();
@@ -157,9 +205,7 @@ TEST(ObsTraceTest, FederatedSpansCrossTiers) {
       FrameSender::Connect("127.0.0.1", region.port(), params, epsilon);
   ASSERT_TRUE(sender.ok()) << sender.status().ToString();
 
-  TraceContext trace;
-  trace.trace_id = 0xABCD1234ull;
-  trace.origin_ns = NowNanos();
+  const TraceContext trace = FreshTrace();
   const std::vector<uint8_t> batch = EncodedBatch(params, epsilon, 300, 11);
   ASSERT_TRUE(sender->SendTracedBatch(batch, trace).ok());
   ASSERT_TRUE(sender->Ping().ok());  // absorbed before the cut below
