@@ -15,7 +15,6 @@
 // verifies at the end.
 //
 // Build: part of the default CMake build; run ./federated_aggregation
-#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -77,16 +76,14 @@ int main() {
     senders.push_back(std::move(*sender));
   }
 
-  const uint64_t* values = workload.table_a.values().data();
   const size_t n = workload.table_a.size();
   std::vector<LdpReport> block(kIngestBlockSize);
   size_t blocks_sent = 0;
-  for (size_t first = 0; first < n; first += kIngestBlockSize) {
-    const size_t count = std::min(kIngestBlockSize, n - first);
-    const size_t block_index = first / kIngestBlockSize;
-    Xoshiro256 rng = MakeStreamRng(/*run_seed=*/41, block_index);
-    std::span<LdpReport> out(block.data(), count);
-    client.PerturbBatch({values + first, count}, out, rng);
+  for (size_t block_index = 0; block_index * kIngestBlockSize < n;
+       ++block_index) {
+    const std::span<const LdpReport> out = PerturbIngestBlock(
+        client, workload.table_a.values(), /*run_seed=*/41, block_index,
+        block);
     if (!senders[block_index % 2].SendReports(out).ok()) return 1;
     ++blocks_sent;
     // Region 0 cuts an epoch every 8 blocks; region 1 only flushes.

@@ -129,17 +129,12 @@ JoinMethodResult RunLdpJoinSketch(const Column& a, const Column& b,
   JoinMethodResult result;
   SimulationOptions sim;
   sim.num_threads = config.num_threads;
-  sim.num_shards = config.num_shards;
-  sim.net_loopback = config.net_loopback;
-  sim.num_regions = config.num_regions;
-  sim.epoch_reports = config.epoch_reports;
-  sim.window_epochs = config.window_epochs;
 
   const auto offline_start = Clock::now();
-  sim.run_seed = Mix64(config.run_seed ^ 0xA3ULL);
+  sim.run_seed = TableRunSeed(config.run_seed, 'a');
   const LdpJoinSketchServer sketch_a =
       BuildLdpJoinSketch(a, config.sketch, config.epsilon, sim);
-  sim.run_seed = Mix64(config.run_seed ^ 0xB3ULL);
+  sim.run_seed = TableRunSeed(config.run_seed, 'b');
   const LdpJoinSketchServer sketch_b =
       BuildLdpJoinSketch(b, config.sketch, config.epsilon, sim);
   result.offline_seconds = SecondsSince(offline_start);
@@ -163,11 +158,6 @@ JoinMethodResult RunLdpJoinSketchPlus(const Column& a, const Column& b,
   params.join_est = config.plus_join_est;
   params.simulation.run_seed = config.run_seed;
   params.simulation.num_threads = config.num_threads;
-  params.simulation.num_shards = config.num_shards;
-  params.simulation.net_loopback = config.net_loopback;
-  params.simulation.num_regions = config.num_regions;
-  params.simulation.epoch_reports = config.epoch_reports;
-  params.simulation.window_epochs = config.window_epochs;
 
   const LdpJoinSketchPlusResult plus = EstimateJoinSizePlus(a, b, params);
   JoinMethodResult result;
@@ -194,6 +184,15 @@ std::string_view JoinMethodName(JoinMethod method) {
     case JoinMethod::kLdpJoinSketchPlus: return "LDPJoinSketch+";
   }
   return "unknown";
+}
+
+uint64_t TrialRunSeed(uint64_t seed, uint64_t trial) {
+  return Mix64(seed ^ (0xF1A6ULL + trial));
+}
+
+uint64_t TableRunSeed(uint64_t run_seed, char table) {
+  LDPJS_CHECK(table == 'a' || table == 'b');
+  return Mix64(run_seed ^ (table == 'a' ? 0xA3ULL : 0xB3ULL));
 }
 
 JoinMethodResult EstimateJoin(JoinMethod method, const Column& table_a,

@@ -37,25 +37,6 @@ struct JoinMethodConfig {
   JoinEstOptions plus_join_est;   ///< LDPJoinSketch+ subtraction variant
   uint64_t run_seed = 42;
   size_t num_threads = 0;
-  /// LDPJoinSketch(+) only: 0 = in-process ingest; N >= 1 routes ingestion
-  /// through the sharded streaming aggregation service (bit-identical
-  /// estimates — see SimulationOptions::num_shards).
-  size_t num_shards = 0;
-  /// LDPJoinSketch(+) only: additionally ship the wire frames through a
-  /// real TCP loopback session (FrameServer/FrameSender on 127.0.0.1).
-  /// Still bit-identical — see SimulationOptions::net_loopback.
-  bool net_loopback = false;
-  /// LDPJoinSketch(+) only: N >= 1 runs the full federated topology — N
-  /// regional aggregators shipping epoch snapshots to one central — on
-  /// 127.0.0.1. Still bit-identical — see SimulationOptions::num_regions.
-  size_t num_regions = 0;
-  /// Federated mode: reports per region between epoch cuts (0 = one
-  /// epoch). See SimulationOptions::epoch_reports.
-  uint64_t epoch_reports = 0;
-  /// Federated mode: 0 = full-history estimate; W >= 1 = sliding-window
-  /// estimate over the last W cross-region-aligned epochs. See
-  /// SimulationOptions::window_epochs.
-  uint64_t window_epochs = 0;
   bool clamp_negative_frequencies = false;  ///< for the oracle baselines
 };
 
@@ -66,10 +47,21 @@ struct JoinMethodResult {
   double comm_bits = 0.0;        ///< total client→server bits (model)
 };
 
-/// Runs `method` end-to-end on the two private join columns.
+/// Runs `method` end-to-end on the two private join columns. Ingestion is
+/// in process (core/simulation.h); no deployment topology can change an
+/// LDPJoinSketch estimate, so none is selectable here.
 JoinMethodResult EstimateJoin(JoinMethod method, const Column& table_a,
                               const Column& table_b,
                               const JoinMethodConfig& config);
+
+/// The experiment seed chain. Trial `trial` of an experiment seeded `seed`
+/// runs EstimateJoin with run_seed = TrialRunSeed(seed, trial), and
+/// LDPJoinSketch perturbs table 'a' or 'b' with TableRunSeed(run_seed,
+/// table) through the simulation's per-block streams. `ldpjs_cli send` and
+/// the query probe derive their reports through the same two functions, so
+/// a deployment reproduces the in-process sketches bit for bit.
+uint64_t TrialRunSeed(uint64_t seed, uint64_t trial);
+uint64_t TableRunSeed(uint64_t run_seed, char table);
 
 }  // namespace ldpjs
 

@@ -117,7 +117,7 @@ LdpJoinSketchPlusResult EstimateJoinSizePlus(
 
   // ---- Phase 2: FAP sketches per group. ---------------------------------
   const auto phase2_start = std::chrono::steady_clock::now();
-  SimulationOptions sim = params.simulation;  // thread/shard modes carry over
+  SimulationOptions sim = params.simulation;  // the thread count carries over
 
   sim.run_seed = Mix64(params.simulation.run_seed ^ 0x10A1ULL);
   const LdpJoinSketchServer mla = BuildFapSketch(

@@ -8,15 +8,13 @@
 // answer.
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/socket.h"
-#include "core/join_methods.h"
-#include "core/simulation.h"
-#include "data/datasets.h"
 #include "federation/central_node.h"
 #include "federation/epoch_scheduler.h"
 #include "federation/regional_node.h"
@@ -43,35 +41,56 @@ std::vector<LdpReport> PerturbColumn(const LdpJoinSketchClient& client,
   return reports;
 }
 
-// The acceptance sweep: 2 regions × shards {1, 4} × both join methods,
-// with an epoch schedule that cuts ≥ 3 epochs per region mid-stream. The
-// federated estimate must equal the in-process estimate bit for bit.
-TEST(FederationTest, FederatedEstimateBitIdenticalForShardsAndMethods) {
-  const JoinWorkload workload = MakeZipfWorkload(1.3, 5000, 30000, /*seed=*/5);
-  for (const JoinMethod method :
-       {JoinMethod::kLdpJoinSketch, JoinMethod::kLdpJoinSketchPlus}) {
-    for (const size_t shards : {size_t{1}, size_t{4}}) {
-      JoinMethodConfig config;
-      config.epsilon = 2.0;
-      config.sketch = TestParams();
-      config.run_seed = 77;
-      config.num_shards = shards;
+// The acceptance sweep: 2 regions × shards {1, 4} per tier. Eight batches
+// of 4096 reports go round-robin to the regions, and each region cuts and
+// ships after every batch with no ingest barrier, so every cut races the
+// region's shard pumps: what has been absorbed ships in this epoch, the
+// rest in the next. Any split is exact, so the central's sketch must equal
+// a direct absorb of every batch, bit for bit.
+TEST(FederationTest, FederatedSketchBitIdenticalToDirectAbsorbForShards) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  constexpr size_t kRegions = 2;
+  LdpJoinSketchClient client(params, epsilon);
+  std::vector<std::vector<LdpReport>> batches;
+  LdpJoinSketchServer direct(params, epsilon);
+  for (size_t b = 0; b < 8; ++b) {
+    batches.push_back(PerturbColumn(client, 4096, 100 + b));
+    direct.AbsorbBatch(batches.back());
+  }
+  direct.Finalize();
 
-      config.num_regions = 0;
-      const double in_process =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-
-      config.num_regions = 2;
-      // 30000 rows = 8 ingest blocks, 4 per region; cutting after every
-      // block gives each region ≥ 4 epochs (incl. the final flush).
-      config.epoch_reports = kIngestBlockSize;
-      const double federated =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-      EXPECT_EQ(federated, in_process)
-          << "method=" << JoinMethodName(method) << " shards=" << shards;
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    CentralNodeOptions central_options;
+    central_options.server.num_shards = shards;
+    CentralNode central(params, epsilon, central_options);
+    ASSERT_TRUE(central.Start().ok());
+    std::vector<std::unique_ptr<RegionalNode>> regions;
+    std::vector<FrameSender> senders;
+    for (size_t r = 0; r < kRegions; ++r) {
+      RegionalNodeOptions options;
+      options.region_id = static_cast<uint32_t>(r);
+      options.central_port = central.port();
+      options.server.num_shards = shards;
+      regions.push_back(
+          std::make_unique<RegionalNode>(params, epsilon, options));
+      ASSERT_TRUE(regions.back()->Start().ok());
+      auto sender = FrameSender::Connect("127.0.0.1", regions.back()->port(),
+                                         params, epsilon);
+      ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+      senders.push_back(std::move(*sender));
     }
+    for (size_t b = 0; b < batches.size(); ++b) {
+      ASSERT_TRUE(senders[b % kRegions].SendReports(batches[b]).ok());
+      ASSERT_TRUE(regions[b % kRegions]->CutAndShip().ok());
+    }
+    for (size_t r = 0; r < kRegions; ++r) {
+      ASSERT_TRUE(senders[r].Finish().ok());
+      ASSERT_TRUE(regions[r]->FlushAndStop().ok());
+    }
+    central.Stop();
+    EXPECT_EQ(central.Finalize().Serialize(), direct.Serialize())
+        << "shards=" << shards;
   }
 }
 

@@ -1,9 +1,8 @@
-// Windowed/sliding federated estimation: the acceptance bar extends PR-4's
-// exactness story with the window. Pinned invariants:
-//   - the windowed federated estimate over the aligned epochs (E-W, E] is
-//     bit-identical to a single-node run ingesting only those epochs'
-//     reports, for 2 regions × shards {1,4} × both join clients ×
-//     W ∈ {1, 2, all};
+// Windowed/sliding federated estimation: the acceptance bar extends the
+// federation tier's exactness story with the window. Pinned invariants:
+//   - the windowed federated sketch over the aligned epochs (E-W, E] is
+//     bit-identical to a single node ingesting only those epochs'
+//     reports, for 2 regions × shards {1,4} × W ∈ {1, 2, all};
 //   - the incremental cached view (merge arrivals, subtract expiries)
 //     equals a recompute-from-scratch after every arrival, expiry,
 //     duplicate-push replay, and region restart;
@@ -15,9 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/join_methods.h"
-#include "core/simulation.h"
-#include "data/datasets.h"
 #include "federation/central_node.h"
 #include "federation/regional_node.h"
 #include "federation/windowed_view.h"
@@ -48,112 +44,70 @@ std::vector<LdpReport> PerturbColumn(const LdpJoinSketchClient& client,
   return reports;
 }
 
-/// The simulation's federated deployment assigns block b to region
-/// b % regions and cuts after every block (epoch_reports = block size), so
-/// region r's epoch e holds exactly block regions·e + r. This rebuilds the
-/// sketch a single node ingesting ONLY the blocks inside the window
-/// (E-W, E] would produce, with the simulation's exact per-block RNG
-/// streams.
-template <typename Client>
-LdpJoinSketchServer SingleNodeWindowReference(
-    const Column& column, const Client& client, const SketchParams& params,
-    double epsilon, uint64_t run_seed, size_t regions, uint64_t window) {
-  const size_t rows = column.size();
-  const size_t blocks = (rows + kIngestBlockSize - 1) / kIngestBlockSize;
-  const uint64_t epochs_per_region =
-      static_cast<uint64_t>(blocks / regions);  // tests use even splits
-  const uint64_t frontier = epochs_per_region - 1;
-  LdpJoinSketchServer reference(params, epsilon);
-  std::vector<LdpReport> out(kIngestBlockSize);
-  for (size_t block = 0; block < blocks; ++block) {
-    const uint64_t epoch = static_cast<uint64_t>(block / regions);
-    if (epoch > frontier || frontier - epoch >= window) continue;
-    const size_t first = block * kIngestBlockSize;
-    const size_t count = std::min(kIngestBlockSize, rows - first);
-    Xoshiro256 rng = MakeStreamRng(run_seed, block);
-    std::span<LdpReport> reports(out.data(), count);
-    client.PerturbBatch(
-        std::span<const uint64_t>(column.values().data() + first, count),
-        reports, rng);
-    reference.AbsorbBatch(reports);
-  }
-  reference.Finalize();
-  return reference;
-}
-
-// The acceptance sweep, sketch level: the federated sliding-window sketch
-// equals the single-node build of only the window's blocks, bit for bit —
-// for both client kinds (LDPJoinSketch and the FAP client behind
-// LDPJoinSketch+ phase 2), shards {1, 4} per tier, and W ∈ {1, 2, all}.
+// The acceptance sweep: 2 regions × shards {1, 4} per tier × W ∈ {1, 2,
+// all}. Batch b goes to region b % 2, and a PING barrier before each cut
+// puts exactly that batch in the region's epoch b / 2. After 4 epochs per
+// region the aligned frontier is E = 3: the windowed sketch must equal a
+// direct absorb of the batches in (E-W, E], and the full-history finalize
+// a direct absorb of every batch, bit for bit.
 TEST(FederationWindowedTest, WindowedSketchEqualsSingleNodeWindowIngest) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;
-  // 8 full blocks → 2 regions × 4 epochs each, aligned frontier E = 3.
-  const size_t rows = 8 * kIngestBlockSize;
-  const Column column =
-      MakeZipfWorkload(1.2, 4000, rows, /*seed=*/11).table_a;
-  const LdpJoinSketchClient plain(params, epsilon);
-  const FapClient fap(params, epsilon, FapMode::kHigh, {1, 2, 3});
+  constexpr size_t kRegions = 2;
+  constexpr uint64_t kEpochs = 4;
+  LdpJoinSketchClient client(params, epsilon);
+  std::vector<std::vector<LdpReport>> batches;
+  for (size_t b = 0; b < kRegions * kEpochs; ++b) {
+    batches.push_back(PerturbColumn(client, 4096, 200 + b));
+  }
+  auto direct_window = [&](uint64_t window) {
+    LdpJoinSketchServer direct(params, epsilon);
+    for (size_t b = 0; b < batches.size(); ++b) {
+      const uint64_t epoch = b / kRegions;
+      if (kEpochs - 1 - epoch < window) direct.AbsorbBatch(batches[b]);
+    }
+    direct.Finalize();
+    return direct.Serialize();
+  };
 
   for (const uint64_t window : {uint64_t{1}, uint64_t{2}, kWindowAll}) {
     for (const size_t shards : {size_t{1}, size_t{4}}) {
-      SimulationOptions options;
-      options.run_seed = 99;
-      options.num_shards = shards;
-      options.num_regions = 2;
-      options.epoch_reports = kIngestBlockSize;
-      options.window_epochs = window;
-
-      const LdpJoinSketchServer federated_plain =
-          BuildLdpJoinSketch(column, params, epsilon, options);
-      EXPECT_EQ(federated_plain.Serialize(),
-                SingleNodeWindowReference(column, plain, params, epsilon,
-                                          options.run_seed, 2, window)
-                    .Serialize())
-          << "plain client, W=" << window << " shards=" << shards;
-
-      const LdpJoinSketchServer federated_fap = BuildFapSketch(
-          column, params, epsilon, FapMode::kHigh, {1, 2, 3}, options);
-      EXPECT_EQ(federated_fap.Serialize(),
-                SingleNodeWindowReference(column, fap, params, epsilon,
-                                          options.run_seed, 2, window)
-                    .Serialize())
-          << "FAP client, W=" << window << " shards=" << shards;
-    }
-  }
-}
-
-// The acceptance sweep, estimate level: with W covering every epoch, the
-// windowed federated estimate reproduces the in-process estimate bit for
-// bit for both join methods — the cached incremental view changes where
-// the merge work happens, never the answer.
-TEST(FederationWindowedTest, WindowOverAllEpochsMatchesInProcessEstimate) {
-  // 32768 rows = 8 full blocks: both regions see the same epoch count, so
-  // the aligned frontier covers the whole run.
-  const JoinWorkload workload =
-      MakeZipfWorkload(1.3, 5000, 8 * kIngestBlockSize, /*seed=*/5);
-  for (const JoinMethod method :
-       {JoinMethod::kLdpJoinSketch, JoinMethod::kLdpJoinSketchPlus}) {
-    for (const size_t shards : {size_t{1}, size_t{4}}) {
-      JoinMethodConfig config;
-      config.epsilon = 2.0;
-      config.sketch = TestParams();
-      config.run_seed = 77;
-      config.num_shards = shards;
-
-      config.num_regions = 0;
-      const double in_process =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-
-      config.num_regions = 2;
-      config.epoch_reports = kIngestBlockSize;
-      config.window_epochs = kWindowAll;
-      const double windowed =
-          EstimateJoin(method, workload.table_a, workload.table_b, config)
-              .estimate;
-      EXPECT_EQ(windowed, in_process)
-          << "method=" << JoinMethodName(method) << " shards=" << shards;
+      CentralNodeOptions central_options;
+      central_options.server.num_shards = shards;
+      central_options.window_epochs = window;
+      central_options.window_expected_regions = kRegions;
+      CentralNode central(params, epsilon, central_options);
+      ASSERT_TRUE(central.Start().ok());
+      std::vector<std::unique_ptr<RegionalNode>> regions;
+      std::vector<FrameSender> senders;
+      for (size_t r = 0; r < kRegions; ++r) {
+        RegionalNodeOptions options;
+        options.region_id = static_cast<uint32_t>(r);
+        options.central_port = central.port();
+        options.server.num_shards = shards;
+        regions.push_back(
+            std::make_unique<RegionalNode>(params, epsilon, options));
+        ASSERT_TRUE(regions.back()->Start().ok());
+        auto sender = FrameSender::Connect(
+            "127.0.0.1", regions.back()->port(), params, epsilon);
+        ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+        senders.push_back(std::move(*sender));
+      }
+      for (size_t b = 0; b < batches.size(); ++b) {
+        ASSERT_TRUE(senders[b % kRegions].SendReports(batches[b]).ok());
+        ASSERT_TRUE(senders[b % kRegions].Ping().ok());
+        ASSERT_TRUE(regions[b % kRegions]->CutAndShip().ok());
+      }
+      for (size_t r = 0; r < kRegions; ++r) {
+        ASSERT_TRUE(senders[r].Finish().ok());
+        ASSERT_TRUE(regions[r]->FlushAndStop().ok());
+      }
+      central.Stop();
+      EXPECT_EQ(central.WindowedPublishedView()->sketch.Serialize(),
+                direct_window(window))
+          << "W=" << window << " shards=" << shards;
+      EXPECT_EQ(central.Finalize().Serialize(), direct_window(kWindowAll))
+          << "W=" << window << " shards=" << shards;
     }
   }
 }

@@ -3,16 +3,12 @@
 // finalized cells and join estimates — must be bit-identical to a single
 // node absorbing the same reports. Not "close": identical to the last ulp.
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/serialize.h"
 #include "core/ldp_join_sketch.h"
-#include "core/simulation.h"
-#include "data/datasets.h"
-#include "data/join.h"
 #include "service/sharded_aggregator.h"
 
 namespace ldpjs {
@@ -145,40 +141,6 @@ TEST(ServiceShardTest, StreamingIngestFrameMatchesBulkIngestStream) {
   ASSERT_TRUE(bulk.IngestStream(stream.buffer()).ok());
   EXPECT_EQ(streaming.frames_ingested(), bulk.frames_ingested());
   ExpectLanesEqual(streaming.MergeShards(), bulk.MergeShards());
-}
-
-TEST(ServiceShardTest, SimulationWirePathBitIdenticalToInProcessPath) {
-  // The --shards driver mode: same run_seed, in-process vs wire-sharded
-  // ingestion, identical finalized cells for both client types.
-  const SketchParams params = TestParams(6, 256, 21);
-  const JoinWorkload w = MakeZipfWorkload(1.4, 300, 30000, 19);
-  SimulationOptions in_process;
-  in_process.run_seed = 99;
-  SimulationOptions wired = in_process;
-  wired.num_shards = 3;
-  wired.num_threads = 2;  // thread count must stay irrelevant on the wire path
-
-  const LdpJoinSketchServer direct =
-      BuildLdpJoinSketch(w.table_a, params, 3.0, in_process);
-  const LdpJoinSketchServer sharded =
-      BuildLdpJoinSketch(w.table_a, params, 3.0, wired);
-  ASSERT_EQ(direct.total_reports(), sharded.total_reports());
-  for (int j = 0; j < params.k; ++j) {
-    for (int x = 0; x < params.m; ++x) {
-      ASSERT_EQ(direct.cell(j, x), sharded.cell(j, x));
-    }
-  }
-
-  const std::unordered_set<uint64_t> frequent{1, 2, 7};
-  const LdpJoinSketchServer fap_direct = BuildFapSketch(
-      w.table_b, params, 3.0, FapMode::kLow, frequent, in_process);
-  const LdpJoinSketchServer fap_sharded = BuildFapSketch(
-      w.table_b, params, 3.0, FapMode::kLow, frequent, wired);
-  for (int j = 0; j < params.k; ++j) {
-    for (int x = 0; x < params.m; ++x) {
-      ASSERT_EQ(fap_direct.cell(j, x), fap_sharded.cell(j, x));
-    }
-  }
 }
 
 TEST(ServiceShardTest, DefaultShardCountFollowsSharedPool) {

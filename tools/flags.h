@@ -1,9 +1,12 @@
 // Minimal --key=value / --key value flag parser for the CLI tools. Not a
-// general-purpose library: unknown flags are an error, every flag has a
-// default, and --help prints the registered set.
+// general-purpose library: unknown flags and malformed numbers are an error
+// (exit 2), every flag has a default, and --help prints the registered set.
 #ifndef LDPJS_TOOLS_FLAGS_H_
 #define LDPJS_TOOLS_FLAGS_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -59,11 +62,30 @@ class Flags {
   std::string GetString(const std::string& name) const {
     return values_.at(name);
   }
+  /// Every integer flag is a count, index, port or seed, so the value must
+  /// be a whole non-negative base-10 integer: "2e5", "200k" and "-1" exit 2
+  /// naming the flag instead of parsing a prefix or wrapping around.
   int64_t GetInt(const std::string& name) const {
-    return std::strtoll(values_.at(name).c_str(), nullptr, 10);
+    const std::string& text = values_.at(name);
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE) {
+      Malformed(name, text, "a non-negative integer");
+    }
+    return value;
   }
+  /// The whole value must be one finite number.
   double GetDouble(const std::string& name) const {
-    return std::strtod(values_.at(name).c_str(), nullptr);
+    const std::string& text = values_.at(name);
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || !std::isfinite(value)) {
+      Malformed(name, text, "a finite number");
+    }
+    return value;
   }
 
   void PrintUsage(const char* program) const {
@@ -76,6 +98,14 @@ class Flags {
   }
 
  private:
+  [[noreturn]] static void Malformed(const std::string& name,
+                                     const std::string& text,
+                                     const char* expected) {
+    std::fprintf(stderr, "flag --%s: '%s' is not %s\n", name.c_str(),
+                 text.c_str(), expected);
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
   std::map<std::string, std::string> help_;
 };

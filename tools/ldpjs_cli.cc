@@ -4,7 +4,7 @@
 // size method on any of the simulated Table-II workloads.
 //
 //   ldpjs_cli --method ldpjoinsketch+ --dataset movielens --rows 1000000
-//             --epsilon 2 --k 18 --m 1024 --trials 3 [--shards 4] [--net 1]
+//             --epsilon 2 --k 18 --m 1024 --trials 3 [--threads 4]
 //
 // Network mode (subcommands) — the distributed deployment, on real sockets:
 //
@@ -588,10 +588,8 @@ int RunSend(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
   const uint64_t trial = static_cast<uint64_t>(flags.GetInt("trial"));
   // The exact derivation chain of experiment mode: per-trial run seed, then
-  // the per-table tweak RunLdpJoinSketch applies.
-  const uint64_t trial_seed = Mix64(seed ^ (0xF1A6ULL + trial));
-  const uint64_t run_seed =
-      Mix64(trial_seed ^ (table == "a" ? 0xA3ULL : 0xB3ULL));
+  // the per-table tweak LDPJoinSketch applies.
+  const uint64_t run_seed = TableRunSeed(TrialRunSeed(seed, trial), table[0]);
 
   FrameSender::Options sender_options;
   sender_options.trace_every =
@@ -607,20 +605,16 @@ int RunSend(int argc, char** argv) {
   }
 
   LdpJoinSketchClient client(params, epsilon);
-  const uint64_t* values = column.values().data();
   const size_t rows = column.size();
   std::vector<LdpReport> block(kIngestBlockSize);
   BinaryWriter frame;
   uint64_t sent_reports = 0;
-  for (size_t first = 0; first < rows; first += kIngestBlockSize) {
-    const size_t count = std::min(kIngestBlockSize, rows - first);
-    const size_t block_index = first / kIngestBlockSize;
+  for (size_t block_index = 0; block_index * kIngestBlockSize < rows;
+       ++block_index) {
     if (block_index % senders != sender_index) continue;  // another slice
-    sent_reports += count;
-    Xoshiro256 rng = MakeStreamRng(run_seed, block_index);
-    std::span<LdpReport> out(block.data(), count);
-    client.PerturbBatch(std::span<const uint64_t>(values + first, count),
-                        out, rng);
+    const std::span<const LdpReport> out = PerturbIngestBlock(
+        client, column.values(), run_seed, block_index, block);
+    sent_reports += out.size();
     frame = BinaryWriter();
     EncodeReportBatch(out, frame);
     const Status sent = sender->SendEncodedBatch(frame.buffer());
@@ -673,14 +667,6 @@ int RunEstimate(int argc, char** argv) {
   flags.Define("check", "0",
                "1 = recompute in-process (trial 0) and require a bit-"
                "identical estimate");
-  flags.Define("regions", "0",
-               "check against the federated in-process run with this many "
-               "regions (matches a federate-central deployment)");
-  flags.Define("epoch-reports", "0",
-               "check: reports per region between epoch cuts");
-  flags.Define("window", "0",
-               "check: sliding-window W the deployment ran with "
-               "(federate-central --window)");
   flags.Parse(argc, argv);
 
   auto load = [](const std::string& path) -> Result<LdpJoinSketchServer> {
@@ -709,12 +695,8 @@ int RunEstimate(int argc, char** argv) {
     JoinMethodConfig config;
     config.epsilon = flags.GetDouble("epsilon");
     config.sketch = SketchFromFlags(flags);
-    config.num_regions = static_cast<size_t>(flags.GetInt("regions"));
-    config.epoch_reports =
-        static_cast<uint64_t>(flags.GetInt("epoch-reports"));
-    config.window_epochs = static_cast<uint64_t>(flags.GetInt("window"));
-    const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
-    config.run_seed = Mix64(seed ^ 0xF1A6ULL);  // trial 0
+    config.run_seed =
+        TrialRunSeed(static_cast<uint64_t>(flags.GetInt("seed")), 0);
     const JoinWorkload workload = WorkloadFromFlags(flags);
     const JoinMethodResult in_process =
         EstimateJoin(JoinMethod::kLdpJoinSketch, workload.table_a,
@@ -808,8 +790,7 @@ int RunQuery(int argc, char** argv) {
     // (same RNG streams, same seed chain) and absorbed locally, so the
     // served estimate is the one the full network run would produce.
     const JoinWorkload workload = WorkloadFromFlags(flags);
-    const uint64_t trial_seed = Mix64(seed ^ (0xF1A6ULL + trial));
-    const uint64_t run_seed = Mix64(trial_seed ^ 0xB3ULL);
+    const uint64_t run_seed = TableRunSeed(TrialRunSeed(seed, trial), 'b');
     SketchParams probe_params = params;
     if (request.kind == QueryKind::kMultiwayChain) {
       // Chain layout: view (left end, hashed on params.seed) ⋈ middle ⋈
@@ -840,14 +821,10 @@ int RunQuery(int argc, char** argv) {
     LdpJoinSketchServer probe_server(probe_params, epsilon);
     const std::vector<uint64_t>& values = workload.table_b.values();
     std::vector<LdpReport> block(kIngestBlockSize);
-    for (size_t first = 0; first < values.size();
-         first += kIngestBlockSize) {
-      const size_t count = std::min(kIngestBlockSize, values.size() - first);
-      Xoshiro256 rng = MakeStreamRng(run_seed, first / kIngestBlockSize);
-      std::span<LdpReport> out(block.data(), count);
-      probe_client.PerturbBatch(
-          std::span<const uint64_t>(values.data() + first, count), out, rng);
-      probe_server.AbsorbBatch(out);
+    for (size_t index = 0; index * kIngestBlockSize < values.size();
+         ++index) {
+      probe_server.AbsorbBatch(
+          PerturbIngestBlock(probe_client, values, run_seed, index, block));
     }
     request.probe_sketch = probe_server.Serialize();  // raw; server finalizes
   }
@@ -1297,22 +1274,6 @@ int RunExperiment(int argc, char** argv) {
   flags.Define("flh-pool", "256", "FLH hash pool size");
   flags.Define("trials", "3", "perturbation repetitions");
   flags.Define("threads", "0", "simulation threads (0 = hardware)");
-  flags.Define("shards", "0",
-               "aggregation-service shards (0 = in-process ingest; N routes "
-               "reports through the sharded wire path — same estimates)");
-  flags.Define("net", "0",
-               "1 = ship wire frames over a TCP loopback session "
-               "(FrameServer/FrameSender) — same estimates");
-  flags.Define("regions", "0",
-               "N >= 1 runs the federated topology on loopback: N regional "
-               "aggregators shipping epoch snapshots to one central — same "
-               "estimates");
-  flags.Define("epoch-reports", "0",
-               "federated mode: reports per region between epoch cuts "
-               "(0 = one epoch)");
-  flags.Define("window", "0",
-               "federated mode: W >= 1 estimates over only the last W "
-               "cross-region-aligned epochs (sliding window)");
   flags.Parse(argc, argv);
 
   const JoinMethod method = ParseMethod(flags.GetString("method"));
@@ -1329,18 +1290,12 @@ int RunExperiment(int argc, char** argv) {
   config.plus_threshold = flags.GetDouble("threshold");
   config.flh_pool_size = static_cast<uint32_t>(flags.GetInt("flh-pool"));
   config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
-  config.num_shards = static_cast<size_t>(flags.GetInt("shards"));
-  config.net_loopback = flags.GetInt("net") != 0;
-  config.num_regions = static_cast<size_t>(flags.GetInt("regions"));
-  config.epoch_reports =
-      static_cast<uint64_t>(flags.GetInt("epoch-reports"));
-  config.window_epochs = static_cast<uint64_t>(flags.GetInt("window"));
 
   const int trials = static_cast<int>(flags.GetInt("trials"));
   RunningStats estimates, res, offline, online;
   double comm_bits = 0;
   for (int t = 0; t < trials; ++t) {
-    config.run_seed = Mix64(seed ^ (0xF1A6ULL + static_cast<uint64_t>(t)));
+    config.run_seed = TrialRunSeed(seed, static_cast<uint64_t>(t));
     const JoinMethodResult result =
         EstimateJoin(method, workload.table_a, workload.table_b, config);
     estimates.Add(result.estimate);

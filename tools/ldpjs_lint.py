@@ -48,6 +48,13 @@ Rules (each has a short slug used in the output):
                   includes transitively, where reaching a header also
                   reaches its own .cc. A module whose only consumer is its
                   own test is dead weight — delete it, or give it a user.
+
+  module-layering The paper's library — src/common, src/data, src/sketch,
+                  src/ldp and src/core — is a leaf: no file there may
+                  #include service/, net/, obs/ or federation/. The serving
+                  stack is built on the estimators, never the other way
+                  round; a deployment topology is driven by its own tools
+                  and tests, not rehearsed inside the simulation.
 """
 
 import re
@@ -78,6 +85,10 @@ WALL_CLOCK_ALLOWED = {
 MUTEX_ALLOWED = {
     "src/common/thread_annotations.h",
 }
+
+# The leaf library and the serving modules it must not include.
+LEAF_MODULES = ("common", "data", "sketch", "ldp", "core")
+SERVING_MODULES = ("service", "net", "obs", "federation")
 
 # Headers kept without a shipping consumer, each for a stated reason.
 ORPHAN_ALLOWED = {
@@ -216,6 +227,24 @@ def check_orphan_modules(violations):
         )
 
 
+def check_module_layering(violations):
+    include = re.compile(
+        r'^\s*#\s*include\s+"((?:%s)/[^"]+)"' % "|".join(SERVING_MODULES)
+    )
+    for module in LEAF_MODULES:
+        for path in sorted((SRC / module).rglob("*")):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            for lineno, line in enumerate(path.read_text().splitlines(), 1):
+                match = include.match(line)
+                if match:
+                    violations.append(
+                        f"{rel(path)}:{lineno}: [module-layering] src/"
+                        f"{module}/ includes {match.group(1)} — the library "
+                        "must not depend on the serving stack"
+                    )
+
+
 def check_json_key_tests(violations):
     # JSON keys appear in C++ string literals as \"key\": — collect every
     # key src/ emits, then require the bare token somewhere in tests/.
@@ -243,6 +272,7 @@ def main():
     check_codec_tests(violations)
     check_json_key_tests(violations)
     check_orphan_modules(violations)
+    check_module_layering(violations)
     if violations:
         for v in violations:
             print(v)
