@@ -3,13 +3,14 @@
 // run for real on 127.0.0.1:
 //
 //   FrameSender x2 ──LJSP/TCP──► FrameServer ──queues──► ShardedAggregator
-//        (HELLO, DATA*, BYE)        (4 shards, shed backpressure)
+//        (HELLO, DATA*, BYE)        (4 shards, 8-frame queues)
 //
 // Two sender connections stream disjoint halves of table A concurrently
 // (with a mid-stream raw-lane snapshot), table B is built in process, and
 // the final estimate is compared bit-for-bit against a single-node absorb
 // of the same reports — the service exactness invariant, now surviving a
-// real socket, bounded queues, and shed/retry flow control.
+// real socket, bounded queues, and TCP flow control: a reader whose shard
+// queue is full stops reading until there is room, and the sender waits.
 #include <cmath>
 #include <cstdio>
 #include <thread>
@@ -42,19 +43,18 @@ int main() {
   Xoshiro256 rng(1);
   client.PerturbBatch(workload.table_a.values(), reports, rng);
 
-  // --- Aggregation service: 4 shards, shed backpressure, tiny queues so
-  // the flow control actually engages.
+  // --- Aggregation service: 4 shards, tiny queues so the flow control
+  // actually engages.
   FrameServerOptions options;
   options.port = 0;  // ephemeral
   options.num_shards = 4;
   options.queue_capacity = 8;
-  options.backpressure = BackpressurePolicy::kShed;
   FrameServer server(params, epsilon, options);
   if (!server.Start().ok()) {
     std::printf("cannot start server\n");
     return 1;
   }
-  std::printf("FrameServer on 127.0.0.1:%u (4 shards, queue=8, shed)\n",
+  std::printf("FrameServer on 127.0.0.1:%u (4 shards, queue=8)\n",
               server.port());
 
   // --- Two concurrent clients, each streaming half the reports.
@@ -84,9 +84,9 @@ int main() {
       }
     }
     if (!sender->Finish().ok()) return;
-    std::printf("  connection done: %llu frames, %llu busy retries\n",
+    std::printf("  connection done: %llu frames, %llu bytes\n",
                 static_cast<unsigned long long>(sender->frames_sent()),
-                static_cast<unsigned long long>(sender->busy_retries()));
+                static_cast<unsigned long long>(sender->bytes_sent()));
   };
   std::thread first(stream_half, 0, rows / 2, true);
   std::thread second(stream_half, rows / 2, rows, false);
@@ -96,11 +96,10 @@ int main() {
   server.Stop();
   const NetMetrics metrics = server.metrics();
   std::printf("server: %llu connections, %llu frames, %llu reports, "
-              "%llu shed, queue high-water %llu\n",
+              "queue high-water %llu\n",
               static_cast<unsigned long long>(metrics.connections_accepted),
               static_cast<unsigned long long>(metrics.frames_received),
               static_cast<unsigned long long>(metrics.reports_ingested),
-              static_cast<unsigned long long>(metrics.frames_shed),
               static_cast<unsigned long long>(metrics.queue_high_water));
   for (size_t s = 0; s < metrics.shards.size(); ++s) {
     std::printf("  shard %zu: %llu frames, %llu reports\n", s,
@@ -129,8 +128,8 @@ int main() {
               std::abs(est_tcp - truth) / truth);
   std::printf("TCP == single-node: %s\n", est_tcp == est_ref ? "yes" : "NO");
   std::printf("\nthe network tier adds transport, flow control, and "
-              "observability — and changes no bits: shed frames are retried, "
-              "queues drain before finalize, and raw integer lanes make the "
-              "merge exact for any interleaving.\n");
+              "observability — and changes no bits: a full queue only slows "
+              "the sender, queues drain before finalize, and raw integer "
+              "lanes make the merge exact for any interleaving.\n");
   return est_tcp == est_ref ? 0 : 1;
 }

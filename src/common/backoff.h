@@ -1,10 +1,10 @@
 // Capped exponential backoff with decorrelated jitter, plus the retry
 // budget accounting every retry loop in the wire stack shares.
 //
-// Replaces the fixed-interval sleeps that used to live in FrameSender
-// (busy retries) and RegionalNode (ship retries): a fixed interval
-// synchronizes every retrying peer into thundering herds against a
-// recovering central and wastes the whole interval when the peer comes
+// Every retry loop uses it: RegionalNode's ship retries, FrameServer's
+// accept retries and the CLI's reconnecting scrapers. A fixed interval
+// would synchronize every retrying peer into thundering herds against a
+// recovering central and waste the whole interval when the peer comes
 // back early. Decorrelated jitter (the AWS "decorrelated" recipe:
 // sleep = min(cap, uniform(base, 3 * previous_sleep))) spreads retriers
 // apart while still growing the wait exponentially toward the cap.

@@ -9,11 +9,11 @@
 // signals — SIGUSR1 metrics dumps, profilers, debuggers — never sees a
 // spurious Corruption/Unavailable from an interrupted syscall.
 //
-// Fault injection: a socket labeled with set_fault_site("name") consults
-// the installed FaultInjector (common/fault_injector.h) before each send
-// ("name.send") and recv ("name.recv"), and ConnectTcp consults
-// "<site>.connect" when given a site. Unlabeled sockets — the default —
-// skip all of it.
+// Fault injection: a socket ConnectTcp labeled with a site "name"
+// consults the installed FaultInjector (common/fault_injector.h) before
+// each send ("name.send") and recv ("name.recv"), and ConnectTcp itself
+// consults "name.connect". Unlabeled sockets — the default, and every
+// accepted one — skip all of it.
 #ifndef LDPJS_COMMON_SOCKET_H_
 #define LDPJS_COMMON_SOCKET_H_
 
@@ -89,11 +89,6 @@ class Socket {
   /// idle-connection watchdog: a hung peer turns into a reapable Status
   /// instead of a thread parked in recv forever.
   void SetRecvTimeout(int seconds) const;
-
-  /// Labels this socket as a fault-injection site (see file comment).
-  /// Empty (the default) disables injection for this socket.
-  void set_fault_site(std::string site) { fault_site_ = std::move(site); }
-  const std::string& fault_site() const { return fault_site_; }
 
   void Close();
   bool valid() const { return fd_ >= 0; }

@@ -22,7 +22,7 @@ enum class StatusCode {
   kCorruption,
   kUnimplemented,
   kInternal,
-  kUnavailable,       ///< transient/retriable: busy peer, backpressure shed
+  kUnavailable,       ///< transient/retriable: peer unreachable or gone
   kDeadlineExceeded,  ///< a configured timeout elapsed (idle peer, hung recv)
 };
 

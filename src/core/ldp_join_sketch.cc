@@ -382,7 +382,8 @@ Result<LdpJoinSketchServer> LdpJoinSketchServer::Deserialize(
   auto finalized = reader.GetU8();
   if (!finalized.ok()) return finalized.status();
 
-  if (*k < 1 || *k > 0xffff || *m < 2 || !IsPowerOfTwo(*m)) {
+  if (*k < 1 || *k > static_cast<uint32_t>(kMaxSketchRows) || *m < 2 ||
+      *m > static_cast<uint32_t>(kMaxSketchColumns) || !IsPowerOfTwo(*m)) {
     return Status::Corruption("invalid sketch shape");
   }
   if (!(*epsilon > 0.0)) return Status::Corruption("invalid epsilon");

@@ -9,7 +9,7 @@
 namespace ldpjs {
 
 void MultiwayParams::Validate() const {
-  LDPJS_CHECK(k >= 1);
+  LDPJS_CHECK(k >= 1 && k <= kMaxSketchRows);
   LDPJS_CHECK(m_left >= 2 && IsPowerOfTwo(static_cast<uint64_t>(m_left)));
   LDPJS_CHECK(m_right >= 2 && IsPowerOfTwo(static_cast<uint64_t>(m_right)));
 }
@@ -157,8 +157,8 @@ Result<LdpMultiwayServer> LdpMultiwayServer::Deserialize(
   if (!total.ok()) return total.status();
   auto finalized = reader.GetU8();
   if (!finalized.ok()) return finalized.status();
-  if (*k < 1 || *k > 0xffff || *m_left < 2 || *m_right < 2 ||
-      !IsPowerOfTwo(*m_left) || !IsPowerOfTwo(*m_right)) {
+  if (*k < 1 || *k > static_cast<uint32_t>(kMaxSketchRows) || *m_left < 2 ||
+      *m_right < 2 || !IsPowerOfTwo(*m_left) || !IsPowerOfTwo(*m_right)) {
     return Status::Corruption("invalid multiway sketch shape");
   }
   const uint64_t expected_cells =

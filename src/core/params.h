@@ -3,11 +3,20 @@
 #define LDPJS_CORE_PARAMS_H_
 
 #include <cstdint>
+#include <limits>
 
 #include "common/hadamard.h"
 #include "common/status.h"
 
 namespace ldpjs {
+
+/// The most rows a sketch may have. A report names its row in a uint16_t,
+/// so a larger k would wrap rows onto row 0; every sketch constructor and
+/// Deserialize refuse it.
+inline constexpr int kMaxSketchRows = std::numeric_limits<uint16_t>::max();
+/// The most columns a sketch may have: the largest power of two that
+/// SketchParams::m (an int) holds.
+inline constexpr int kMaxSketchColumns = 1 << 30;
 
 /// Shape and hash seed of a private sketch. Two sketches are comparable
 /// (joinable / mergeable) iff all three fields match.
@@ -17,7 +26,7 @@ struct SketchParams {
   uint64_t seed = 1; ///< hash-family seed, public to clients and server
 
   void Validate() const {
-    LDPJS_CHECK(k >= 1);
+    LDPJS_CHECK(k >= 1 && k <= kMaxSketchRows);
     LDPJS_CHECK(m >= 2);
     LDPJS_CHECK(IsPowerOfTwo(static_cast<uint64_t>(m)));
   }

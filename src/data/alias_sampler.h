@@ -15,8 +15,10 @@ namespace ldpjs {
 class AliasSampler {
  public:
   /// Builds alias tables for the (unnormalized, non-negative, not all zero)
-  /// weight vector. O(weights.size()).
-  explicit AliasSampler(const std::vector<double>& weights);
+  /// weight vector. O(weights.size()). The weights' storage becomes the
+  /// acceptance table, so a caller that moves them in pays for no copy:
+  /// the build holds 16 bytes per entry at its peak, 12 after.
+  explicit AliasSampler(std::vector<double> weights);
 
   /// Draws an index in [0, size()) with probability proportional to its
   /// weight.
@@ -24,13 +26,9 @@ class AliasSampler {
 
   size_t size() const { return prob_.size(); }
 
-  /// Normalized probability of index i (for tests).
-  double probability(size_t i) const { return normalized_[i]; }
-
  private:
-  std::vector<double> prob_;       // acceptance probability per bucket
-  std::vector<uint32_t> alias_;    // alias index per bucket
-  std::vector<double> normalized_; // normalized input weights
+  std::vector<double> prob_;     // acceptance probability per bucket
+  std::vector<uint32_t> alias_;  // alias index per bucket
 };
 
 }  // namespace ldpjs

@@ -1,6 +1,7 @@
 #include "data/zipf.h"
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -16,7 +17,8 @@ Column GenerateZipf(const ZipfParams& params) {
   for (uint64_t r = 0; r < params.domain; ++r) {
     weights[r] = std::pow(static_cast<double>(r + 1), -params.alpha);
   }
-  AliasSampler sampler(weights);
+  // The weights become the sampler's table: no copy outlives this line.
+  const AliasSampler sampler(std::move(weights));
   Xoshiro256 rng(params.seed);
   std::vector<uint64_t> values;
   values.reserve(params.rows);

@@ -28,7 +28,7 @@
 namespace ldpjs {
 
 struct CentralNodeOptions {
-  /// Listening port, shard count, queue depth, backpressure policy.
+  /// Listening port, shard count, queue depth.
   FrameServerOptions server;
   /// How many FINALIZE requests end the collection — one per region when
   /// regions forward their clients' FINALIZE upstream.

@@ -53,7 +53,7 @@ RegionalNode::~RegionalNode() {
   // Best-effort teardown: never blocks on an unreachable central. Data not
   // shipped yet is lost with the process — call FlushAndStop for the
   // guaranteed flush.
-  if (scheduler_) scheduler_->Stop();
+  StopTicks();
   server_.Stop();
 }
 
@@ -97,15 +97,37 @@ Status RegionalNode::Start() {
   }
   LDPJS_RETURN_IF_ERROR(server_.Start());
   if (options_.epoch_millis > 0) {
-    scheduler_ = std::make_unique<EpochScheduler>(
-        std::chrono::milliseconds(options_.epoch_millis), [this](uint64_t) {
-          // A failed ship keeps its snapshots pending; the next tick (or
-          // the final flush) resumes them, so a tick never loses data.
-          (void)CutAndShip();
-        });
-    scheduler_->Start();
+    tick_thread_ = std::thread(&RegionalNode::TickLoop, this);
   }
   return Status::OK();
+}
+
+void RegionalNode::TickLoop() {
+  const auto period = std::chrono::milliseconds(options_.epoch_millis);
+  MutexLock lock(tick_mu_);
+  for (;;) {
+    const auto deadline = std::chrono::steady_clock::now() + period;
+    // Wait out the period; a wake-up before the deadline is StopTicks or
+    // spurious.
+    while (!stop_ticks_) {
+      if (!tick_cv_.WaitUntil(tick_mu_, deadline)) break;
+    }
+    if (stop_ticks_) return;
+    lock.Unlock();
+    // A failed ship keeps its snapshots pending; the next tick (or the
+    // final flush) resumes them, so a tick never loses data.
+    (void)CutAndShip();
+    lock.Lock();
+  }
+}
+
+void RegionalNode::StopTicks() {
+  {
+    MutexLock lock(tick_mu_);
+    stop_ticks_ = true;
+  }
+  tick_cv_.NotifyAll();
+  if (tick_thread_.joinable()) tick_thread_.join();
 }
 
 Status RegionalNode::CutAndShip() {
@@ -197,7 +219,7 @@ Status RegionalNode::ShipPendingLocked() {
       snap.attempted = true;
     }
     const uint64_t ship_start_ns = ObsEnabled() ? NowNanos() : 0;
-    auto ack = upstream_->PushEpochSnapshotTraced(
+    auto ack = upstream_->PushEpochSnapshot(
         options_.region_id, snap.epoch, snap.raw_sketch, snap.trace);
     if (!ack.ok()) {
       // Outcome unknown (the connection may have died after the central
@@ -241,7 +263,6 @@ FleetSnapshot RegionalNode::BuildStatsSnapshotLocked() const {
   // carries its own health inputs instead of the central re-scraping.
   const NetMetrics m = server_.metrics();
   snap.stats.counters.emplace_back("net_frames_received", m.frames_received);
-  snap.stats.counters.emplace_back("net_frames_shed", m.frames_shed);
   snap.stats.counters.emplace_back("net_corrupt_frames_rejected",
                                    m.corrupt_frames_rejected);
   snap.stats.counters.emplace_back("net_reports_ingested",
@@ -323,8 +344,8 @@ void RegionalNode::AdoptCentralEpoch(uint64_t central_next_epoch) {
 }
 
 Status RegionalNode::FlushAndStop() {
-  // The scheduler's tick takes ship_mu_, so stop it before locking.
-  if (scheduler_) scheduler_->Stop();
+  // A tick takes ship_mu_, so stop the clock before locking.
+  StopTicks();
   // Stop drains every queued frame into the lanes, so the final cut below
   // holds everything any client pushed to this region.
   server_.Stop();

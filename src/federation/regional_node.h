@@ -1,10 +1,16 @@
 // RegionalNode: one regional tier of the federated aggregation topology.
 //
 //   clients ──LJSP/DATA──▶ RegionalNode(FrameServer, N shards)
-//                               │  EpochScheduler tick:
+//                               │  epoch tick (every epoch_millis):
 //                               │    cut raw-lane snapshot → lanes reset
 //                               ▼
 //                          FrameSender ──LJSP/EPOCH_PUSH──▶ central
+//
+// Ticks come from the node's own clock thread when epoch_millis > 0, or
+// from explicit CutAndShip() calls. Either way they are serialized: a tick
+// that runs long (a ship retrying against a dead central) delays the next
+// one instead of overlapping it, so there is never more than one cut in
+// flight per region.
 //
 // Each epoch tick cuts the region's raw integer lanes (serialize + reset,
 // see FrameServer::CutEpochSnapshot) and ships the snapshot upstream over
@@ -30,15 +36,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/backoff.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "federation/epoch_scheduler.h"
 #include "federation/snapshot_spool.h"
 #include "net/frame_sender.h"
 #include "net/frame_server.h"
@@ -49,10 +54,11 @@ struct RegionalNodeOptions {
   uint32_t region_id = 0;
   std::string central_host = "127.0.0.1";
   uint16_t central_port = 0;
-  /// Region-facing ingest server (port, shards, queue, backpressure).
+  /// Region-facing ingest server (port, shards, queue).
   FrameServerOptions server;
-  /// Wall-clock epoch period; 0 = cut only on explicit CutAndShip() calls
-  /// (deterministic mode for tests and report-count-driven drivers).
+  /// Epoch period of the node's clock thread; 0 = no clock, cut only on
+  /// explicit CutAndShip() calls (deterministic mode for tests and
+  /// report-count-driven drivers).
   int epoch_millis = 0;
   /// Ship retry budget per CutAndShip call, across reconnects. Exhaustion
   /// returns Unavailable but keeps the snapshots pending for next time.
@@ -95,7 +101,7 @@ class RegionalNode {
   RegionalNode(const RegionalNode&) = delete;
   RegionalNode& operator=(const RegionalNode&) = delete;
 
-  /// Starts the ingest server and, if epoch_millis > 0, the scheduler.
+  /// Starts the ingest server and, if epoch_millis > 0, the clock thread.
   /// With spool_dir set, first opens/recovers the durable spool: pending
   /// epochs a crashed predecessor never shipped re-enter the queue (and
   /// next_epoch_ resumes above them), so the following ships lose nothing.
@@ -107,10 +113,10 @@ class RegionalNode {
   /// One epoch: cut the lanes, queue the snapshot, ship everything pending
   /// in epoch order. Returns Unavailable if the central stayed unreachable
   /// for the attempt budget — the data is retained and re-shipped on the
-  /// next call. Serialized with the scheduler's ticks.
+  /// next call. Serialized with the clock's ticks.
   Status CutAndShip();
 
-  /// Stops the scheduler and the ingest server (draining every queued
+  /// Stops the clock and the ingest server (draining every queued
   /// frame), cuts the final epoch, and ships everything still pending —
   /// after this returns OK, every report any client pushed to this region
   /// is merged into the central lanes exactly once. Idempotent.
@@ -162,6 +168,12 @@ class RegionalNode {
     TraceContext trace;
   };
 
+  /// The clock thread: CutAndShip every epoch_millis until StopTicks.
+  void TickLoop();
+  /// Stops and joins the clock thread; no tick runs after it returns.
+  /// Idempotent. Must not be called with ship_mu_ held — a tick takes it.
+  void StopTicks() LDPJS_EXCLUDES(ship_mu_);
+
   /// Ships every pending snapshot in epoch order; stops at the first
   /// snapshot whose attempt budget runs out.
   Status ShipPendingLocked() LDPJS_REQUIRES(ship_mu_);
@@ -209,11 +221,14 @@ class RegionalNode {
   ObsHistogram* ship_rtt_hist_;
   /// Start()-time spool recovery duration (one sample per recovery).
   ObsHistogram* spool_replay_hist_;
-  std::unique_ptr<EpochScheduler> scheduler_;
+  /// Wakes the clock thread early, for StopTicks.
+  Mutex tick_mu_;
+  CondVar tick_cv_;
+  bool stop_ticks_ LDPJS_GUARDED_BY(tick_mu_) = false;
   /// Open iff options_.spool_dir non-empty.
   SnapshotSpool spool_ LDPJS_GUARDED_BY(ship_mu_);
 
-  /// Serializes cut+ship: scheduler ticks, manual CutAndShip calls, and the
+  /// Serializes cut+ship: clock ticks, manual CutAndShip calls, and the
   /// final flush never interleave, so epochs are numbered and shipped in
   /// order (the central's dedup high-water relies on that).
   mutable Mutex ship_mu_;
@@ -241,6 +256,9 @@ class RegionalNode {
   /// is then a reconnect worth an event-log entry.
   bool had_upstream_ LDPJS_GUARDED_BY(ship_mu_) = false;
   bool flushed_ LDPJS_GUARDED_BY(ship_mu_) = false;
+  /// The clock thread (epoch_millis > 0). Declared last: its ticks use
+  /// every member above.
+  std::thread tick_thread_;
 };
 
 }  // namespace ldpjs

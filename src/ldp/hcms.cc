@@ -1,6 +1,7 @@
 #include "ldp/hcms.h"
 
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "common/hadamard.h"
@@ -24,11 +25,16 @@ std::vector<BucketHash> MakeBuckets(const HcmsParams& params) {
   }
   return buckets;
 }
+
+/// A report names its row in a uint16_t (HcmsReport::j).
+bool RowsFitReports(int k) {
+  return k >= 1 && k <= std::numeric_limits<uint16_t>::max();
+}
 }  // namespace
 
 HcmsClient::HcmsClient(const HcmsParams& params) : params_(params) {
   LDPJS_CHECK(params.epsilon > 0.0);
-  LDPJS_CHECK(params.k >= 1);
+  LDPJS_CHECK(RowsFitReports(params.k));
   LDPJS_CHECK(IsPowerOfTwo(static_cast<uint64_t>(params.m)));
   flip_prob_ = 1.0 / (std::exp(params.epsilon) + 1.0);
   buckets_ = MakeBuckets(params);
@@ -47,12 +53,12 @@ HcmsReport HcmsClient::Perturb(uint64_t value, Xoshiro256& rng) const {
   return report;
 }
 
-HcmsServer::HcmsServer(const HcmsParams& params)
-    : params_(params), buckets_(MakeBuckets(params)) {
+HcmsServer::HcmsServer(const HcmsParams& params) : params_(params) {
   LDPJS_CHECK(params.epsilon > 0.0);
-  LDPJS_CHECK(params.k >= 1);
+  LDPJS_CHECK(RowsFitReports(params.k));
   LDPJS_CHECK(params.m >= 2);
   LDPJS_CHECK(IsPowerOfTwo(static_cast<uint64_t>(params.m)));
+  buckets_ = MakeBuckets(params);
   const double e = std::exp(params.epsilon);
   c_eps_ = (e + 1.0) / (e - 1.0);
   cells_.assign(static_cast<size_t>(params.k) * static_cast<size_t>(params.m),

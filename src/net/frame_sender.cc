@@ -1,8 +1,7 @@
 #include "net/frame_sender.h"
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <thread>
 
 #include "common/random.h"
 #include "obs/metrics.h"
@@ -35,6 +34,7 @@ Result<FrameSender> FrameSender::Connect(const std::string& host,
     // cannot park this client forever waiting for HELLO_OK.
     socket->SetRecvTimeout(options.recv_timeout_seconds);
   }
+  FrameSender sender(std::move(*socket), options);
 
   SessionHello hello;
   hello.k = static_cast<uint32_t>(params.k);
@@ -43,24 +43,32 @@ Result<FrameSender> FrameSender::Connect(const std::string& host,
   hello.epsilon = epsilon;
   hello.has_region = options.announce_region;
   hello.region_id = options.region_id;
-  LDPJS_RETURN_IF_ERROR(
-      WriteNetFrame(*socket, NetFrameType::kHello, EncodeHello(hello)));
-
-  auto reply = ReadNetFrame(*socket, kMaxControlFramePayload);
+  auto reply = sender.Exchange(NetFrameType::kHello, EncodeHello(hello),
+                               NetFrameType::kHelloOk);
   if (!reply.ok()) return reply.status();
-  if (reply->type == NetFrameType::kError) {
-    return DecodeErrorPayload(reply->payload);
-  }
-  if (reply->type != NetFrameType::kHelloOk) {
-    return Status::Corruption("expected HELLO_OK from server");
-  }
   // DecodeHelloOk refuses a server of another protocol version.
   auto session = DecodeHelloOk(reply->payload);
   if (!session.ok()) return session.status();
-  return FrameSender(std::move(*socket), *session, options);
+  sender.region_next_epoch_ = session->region_next_epoch;
+  return sender;
 }
 
-Result<NetFrame> FrameSender::ReadReply() {
+Status FrameSender::Write(NetFrameType type,
+                          std::span<const uint8_t> payload) {
+  LDPJS_CHECK(!finished_);
+  if (type == NetFrameType::kFinalize || type == NetFrameType::kBye) {
+    finished_ = true;  // terminal — the server may disconnect next
+  }
+  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, type, payload));
+  ++frames_sent_;
+  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
+  return Status::OK();
+}
+
+Result<NetFrame> FrameSender::Exchange(NetFrameType type,
+                                       std::span<const uint8_t> payload,
+                                       NetFrameType expected_reply) {
+  LDPJS_RETURN_IF_ERROR(Write(type, payload));
   auto frame = ReadNetFrame(socket_, kMaxControlFramePayload);
   if (!frame.ok()) {
     if (frame.status().code() == StatusCode::kNotFound) {
@@ -70,6 +78,13 @@ Result<NetFrame> FrameSender::ReadReply() {
   }
   if (frame->type == NetFrameType::kError) {
     return DecodeErrorPayload(frame->payload);
+  }
+  if (frame->type != expected_reply) {
+    return Status::Corruption(
+        "expected reply type " +
+        std::to_string(static_cast<int>(expected_reply)) + " to request " +
+        std::to_string(static_cast<int>(type)) + ", got " +
+        std::to_string(static_cast<int>(frame->type)));
   }
   return frame;
 }
@@ -85,50 +100,19 @@ Status FrameSender::SendEncodedBatch(std::span<const uint8_t> envelope) {
 
 Status FrameSender::SendTracedBatch(std::span<const uint8_t> envelope,
                                     const TraceContext& trace) {
-  LDPJS_CHECK(!finished_);
   ++batches_sent_;
-  std::vector<uint8_t> wrapped;
-  std::span<const uint8_t> wire = envelope;
-  NetFrameType type = NetFrameType::kData;
-  const uint64_t send_start_ns =
-      trace.active() && ObsEnabled() ? NowNanos() : 0;
-  if (trace.active()) {
-    wrapped = EncodeTraced(NetFrameType::kData, trace.trace_id,
-                           trace.origin_ns, envelope);
-    wire = wrapped;
-    type = NetFrameType::kTraced;
+  if (!trace.active()) return Write(NetFrameType::kData, envelope);
+  LDPJS_RETURN_IF_ERROR(
+      Write(NetFrameType::kTraced,
+            EncodeTraced(NetFrameType::kData, trace.trace_id,
+                         trace.origin_ns, envelope)));
+  if (ObsEnabled()) {
+    // The client-side span covers origin (encode start) → handed to the
+    // kernel; the server's queue span picks up from its enqueue.
+    TraceLog::Global().Record(trace.trace_id, "client_send", trace.origin_ns,
+                              NowNanos());
   }
-  for (int attempt = 0;; ++attempt) {
-    LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, type, wire));
-    ++frames_sent_;
-    bytes_sent_ += kNetFrameHeaderBytes + wire.size();
-    if (send_start_ns != 0 && attempt == 0) {
-      // The client-side span covers origin (encode start) → handed to the
-      // kernel; the server's queue span picks up from its enqueue.
-      TraceLog::Global().Record(trace.trace_id, "client_send",
-                                trace.origin_ns, NowNanos());
-    }
-    if (!session_.acked_data) return Status::OK();
-    auto reply = ReadReply();
-    if (!reply.ok()) return reply.status();
-    if (reply->type != NetFrameType::kDataAck || reply->payload.size() != 1) {
-      return Status::Corruption("expected DATA_ACK");
-    }
-    if (reply->payload[0] == static_cast<uint8_t>(DataAckCode::kAbsorbed)) {
-      if (attempt > 0) busy_backoff_.Reset();  // incident over
-      return Status::OK();
-    }
-    // Busy: the server shed the frame under backpressure. Retry the same
-    // bytes after a jittered, exponentially growing backoff; lanes are
-    // integer adds, so a retried frame lands exactly once (it was never
-    // ingested) and ordering cannot matter.
-    ++busy_retries_;
-    if (attempt >= options_.max_busy_retries) {
-      return Status::Unavailable("server still busy after " +
-                                 std::to_string(attempt) + " retries");
-    }
-    busy_backoff_.SleepNext();
-  }
+  return Status::OK();
 }
 
 Status FrameSender::SendReports(std::span<const LdpReport> reports) {
@@ -145,26 +129,15 @@ Status FrameSender::SendReports(std::span<const LdpReport> reports) {
 }
 
 Result<std::vector<uint8_t>> FrameSender::SnapshotRawSketch() {
-  LDPJS_CHECK(!finished_);
-  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, NetFrameType::kSnapshot, {}));
-  auto reply = ReadReply();
+  auto reply =
+      Exchange(NetFrameType::kSnapshot, {}, NetFrameType::kSnapshotData);
   if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kSnapshotData) {
-    return Status::Corruption("expected SNAPSHOT_DATA");
-  }
   return std::move(reply->payload);
 }
 
 Result<EpochPushAck> FrameSender::PushEpochSnapshot(
-    uint32_t region_id, uint64_t epoch, std::span<const uint8_t> raw_sketch) {
-  return PushEpochSnapshotTraced(region_id, epoch, raw_sketch,
-                                 TraceContext{});
-}
-
-Result<EpochPushAck> FrameSender::PushEpochSnapshotTraced(
     uint32_t region_id, uint64_t epoch, std::span<const uint8_t> raw_sketch,
     const TraceContext& trace) {
-  LDPJS_CHECK(!finished_);
   std::vector<uint8_t> payload = EncodeEpochPush(region_id, epoch, raw_sketch);
   NetFrameType type = NetFrameType::kEpochPush;
   if (trace.active()) {
@@ -174,69 +147,36 @@ Result<EpochPushAck> FrameSender::PushEpochSnapshotTraced(
                            trace.origin_ns, payload);
     type = NetFrameType::kTraced;
   }
-  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, type, payload));
-  ++frames_sent_;
-  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
-  auto reply = ReadReply();
+  auto reply = Exchange(type, payload, NetFrameType::kEpochPushOk);
   if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kEpochPushOk) {
-    return Status::Corruption("expected EPOCH_PUSH_OK");
-  }
   return DecodeEpochPushAck(reply->payload);
 }
 
 Result<std::string> FrameSender::Stats() {
-  LDPJS_CHECK(!finished_);
-  LDPJS_RETURN_IF_ERROR(
-      WriteNetFrame(socket_, NetFrameType::kStatsRequest, {}));
-  auto reply = ReadReply();
+  auto reply =
+      Exchange(NetFrameType::kStatsRequest, {}, NetFrameType::kStats);
   if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kStats) {
-    return Status::Corruption("expected STATS");
-  }
   return std::string(reply->payload.begin(), reply->payload.end());
 }
 
 Status FrameSender::PushStats(const FleetSnapshot& snapshot) {
-  LDPJS_CHECK(!finished_);
-  const std::vector<uint8_t> payload = EncodeFleetSnapshot(snapshot);
-  LDPJS_RETURN_IF_ERROR(
-      WriteNetFrame(socket_, NetFrameType::kStatsPush, payload));
-  ++frames_sent_;
-  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
-  auto reply = ReadReply();
-  if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kStatsPushOk) {
-    return Status::Corruption("expected STATS_PUSH_OK");
-  }
-  return Status::OK();
+  return Exchange(NetFrameType::kStatsPush, EncodeFleetSnapshot(snapshot),
+                  NetFrameType::kStatsPushOk)
+      .status();
 }
 
 Result<FleetView> FrameSender::FleetStats() {
-  LDPJS_CHECK(!finished_);
-  LDPJS_RETURN_IF_ERROR(
-      WriteNetFrame(socket_, NetFrameType::kFleetStatsRequest, {}));
-  auto reply = ReadReply();
+  auto reply = Exchange(NetFrameType::kFleetStatsRequest, {},
+                        NetFrameType::kFleetStats);
   if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kFleetStats) {
-    return Status::Corruption("expected FLEET_STATS");
-  }
   return DecodeFleetView(reply->payload);
 }
 
 Status FrameSender::Ping() {
-  LDPJS_CHECK(!finished_);
-  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, NetFrameType::kPing, {}));
-  auto reply = ReadReply();
-  if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kPingOk) {
-    return Status::Corruption("expected PING_OK");
-  }
-  return Status::OK();
+  return Exchange(NetFrameType::kPing, {}, NetFrameType::kPingOk).status();
 }
 
 Result<QueryResponse> FrameSender::Query(const QueryRequest& request) {
-  LDPJS_CHECK(!finished_);
   const std::vector<uint8_t> payload = EncodeQueryRequest(request);
   if (payload.size() > kMaxQueryFramePayload) {
     // The server would refuse the frame from its length prefix alone and
@@ -249,56 +189,27 @@ Result<QueryResponse> FrameSender::Query(const QueryRequest& request) {
         std::to_string(kMaxQueryFramePayload) +
         "); shrink the probe sketch or middle matrices");
   }
-  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, NetFrameType::kQuery, payload));
-  ++frames_sent_;
-  bytes_sent_ += kNetFrameHeaderBytes + payload.size();
-  auto reply = ReadReply();
+  auto reply = Exchange(NetFrameType::kQuery, payload, NetFrameType::kQueryOk);
   if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kQueryOk) {
-    return Status::Corruption("expected QUERY_OK");
-  }
   return DecodeQueryResponse(reply->payload);
 }
 
 Status FrameSender::RequestFinalize() {
-  LDPJS_CHECK(!finished_);
-  finished_ = true;  // terminal exchange — the server may disconnect next
-  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, NetFrameType::kFinalize, {}));
-  auto reply = ReadReply();
-  if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kFinalizeOk) {
-    return Status::Corruption("expected FINALIZE_OK");
-  }
-  return Status::OK();
+  return Exchange(NetFrameType::kFinalize, {}, NetFrameType::kFinalizeOk)
+      .status();
 }
 
 Status FrameSender::RequestFinalizeAsRegion(uint32_t region_id) {
-  LDPJS_CHECK(!finished_);
-  finished_ = true;
   uint8_t payload[4];
   for (int i = 0; i < 4; ++i) {
     payload[i] = static_cast<uint8_t>(region_id >> (8 * i));
   }
-  LDPJS_RETURN_IF_ERROR(
-      WriteNetFrame(socket_, NetFrameType::kFinalize, payload));
-  auto reply = ReadReply();
-  if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kFinalizeOk) {
-    return Status::Corruption("expected FINALIZE_OK");
-  }
-  return Status::OK();
+  return Exchange(NetFrameType::kFinalize, payload, NetFrameType::kFinalizeOk)
+      .status();
 }
 
 Status FrameSender::Finish() {
-  LDPJS_CHECK(!finished_);
-  finished_ = true;
-  LDPJS_RETURN_IF_ERROR(WriteNetFrame(socket_, NetFrameType::kBye, {}));
-  auto reply = ReadReply();
-  if (!reply.ok()) return reply.status();
-  if (reply->type != NetFrameType::kByeOk) {
-    return Status::Corruption("expected BYE_OK");
-  }
-  return Status::OK();
+  return Exchange(NetFrameType::kBye, {}, NetFrameType::kByeOk).status();
 }
 
 }  // namespace ldpjs

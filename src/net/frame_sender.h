@@ -3,12 +3,14 @@
 // params must match the server's bit for bit), then streams PerturbBatch
 // output as LJSB batch envelopes inside DATA frames.
 //
-// Flow control: against a kShed server every DATA frame is acked; a busy
-// ack makes SendReports/SendEncodedBatch retry the same frame after a
-// jittered exponential backoff (bounded by Options::max_busy_retries, then
-// Unavailable). Against a kBlock server there are no per-frame acks — TCP
-// flow control is the backpressure — and Finish()'s BYE/BYE_OK exchange is
-// the proof that every frame sent on this connection has been ingested.
+// Flow control: DATA frames are write-only — no per-frame reply — and TCP
+// flow control is the backpressure: a server with a full shard queue stops
+// reading, so a send blocks until it has room. Finish()'s BYE/BYE_OK
+// exchange is the proof that every frame sent on this connection has been
+// ingested. Every other request writes one frame and reads one reply
+// through the same exchange (see Exchange), so an ERROR reply always
+// surfaces as the server's Status and any other unexpected reply as
+// Corruption.
 #ifndef LDPJS_NET_FRAME_SENDER_H_
 #define LDPJS_NET_FRAME_SENDER_H_
 
@@ -17,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/backoff.h"
 #include "common/result.h"
 #include "common/socket.h"
 #include "common/status.h"
@@ -31,11 +32,6 @@ namespace ldpjs {
 class FrameSender {
  public:
   struct Options {
-    int max_busy_retries = 100000;  ///< per frame, before Unavailable
-    /// Backoff between busy retries: decorrelated jitter from 100us up to
-    /// 20ms, so a fleet of shed clients does not hammer the server in
-    /// lockstep the way a fixed interval would.
-    BackoffOptions busy_backoff{.base_micros = 100, .cap_micros = 20000};
     /// SO_RCVTIMEO on the session socket: caps how long any reply wait
     /// (HELLO_OK, acks, snapshots) can hang on a dead-but-connected server
     /// before failing with DeadlineExceeded. 0 disables. Chaos runs arm
@@ -87,8 +83,7 @@ class FrameSender {
   /// Streams one batch wrapped in a TRACED envelope with an explicit trace
   /// context — how a caller includes its own encode time in the origin
   /// (stamp origin_ns before encoding). An inactive context sends a bare
-  /// DATA frame. Runs the busy-retry protocol; a retried frame re-sends
-  /// the identical bytes.
+  /// DATA frame.
   Status SendTracedBatch(std::span<const uint8_t> envelope,
                          const TraceContext& trace);
 
@@ -105,16 +100,13 @@ class FrameSender {
   /// carries the central's next-expected epoch for the region so the
   /// shipper's numbering tracks the central's high-water. Any transport
   /// failure leaves the outcome unknown; reconnect and push the same
-  /// (region, epoch) again.
+  /// (region, epoch) again. An active `trace` rides along in a TRACED
+  /// envelope (a regional shipper forwarding the context claimed at its
+  /// epoch cut, origin preserved, so the central's publish measures
+  /// client→central latency).
   Result<EpochPushAck> PushEpochSnapshot(uint32_t region_id, uint64_t epoch,
-                                         std::span<const uint8_t> raw_sketch);
-
-  /// PushEpochSnapshot with a trace context riding along (a regional
-  /// shipper forwarding the context claimed at its epoch cut, origin
-  /// preserved, so the central's publish measures client→central latency).
-  Result<EpochPushAck> PushEpochSnapshotTraced(
-      uint32_t region_id, uint64_t epoch, std::span<const uint8_t> raw_sketch,
-      const TraceContext& trace);
+                                         std::span<const uint8_t> raw_sketch,
+                                         const TraceContext& trace = {});
 
   /// Ingest barrier: returns once the server has absorbed every frame this
   /// connection sent so far (PING/PING_OK — no lanes shipped back, unlike
@@ -164,35 +156,34 @@ class FrameSender {
   /// connection sent. The connection is done after this.
   Status Finish();
 
-  uint32_t server_shards() const { return session_.num_shards; }
-  bool acked_data() const { return session_.acked_data; }
   /// First epoch the server has not applied for the announced region
   /// (0 when no region was announced or the server never heard from it).
-  uint64_t region_next_epoch() const { return session_.region_next_epoch; }
+  uint64_t region_next_epoch() const { return region_next_epoch_; }
+  /// Every frame this sender wrote, HELLO included, and their transport
+  /// bytes (headers included).
   uint64_t frames_sent() const { return frames_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t busy_retries() const { return busy_retries_; }
-  /// Cumulative time this sender has slept in busy backoff.
-  uint64_t backoff_micros() const { return busy_backoff_.total_micros(); }
 
  private:
-  FrameSender(Socket socket, const SessionHelloOk& session,
-              const Options& options)
-      : socket_(std::move(socket)),
-        session_(session),
-        options_(options),
-        busy_backoff_(options.busy_backoff) {}
+  FrameSender(Socket socket, const Options& options)
+      : socket_(std::move(socket)), options_(options) {}
 
-  /// Reads the next server frame, surfacing ERROR frames as their Status.
-  Result<NetFrame> ReadReply();
+  /// Writes one frame and counts it. FINALIZE and BYE end the session:
+  /// nothing may be written after either.
+  Status Write(NetFrameType type, std::span<const uint8_t> payload);
+
+  /// The one request/reply routine: writes one frame and reads the reply.
+  /// An ERROR reply returns the server's Status; a close returns
+  /// Unavailable; any type but `expected_reply` returns Corruption.
+  Result<NetFrame> Exchange(NetFrameType type,
+                            std::span<const uint8_t> payload,
+                            NetFrameType expected_reply);
 
   Socket socket_;
-  SessionHelloOk session_;
   Options options_;
-  Backoff busy_backoff_;
+  uint64_t region_next_epoch_ = 0;
   uint64_t frames_sent_ = 0;
   uint64_t bytes_sent_ = 0;
-  uint64_t busy_retries_ = 0;
   uint64_t batches_sent_ = 0;  ///< trace_every sampling cursor
   bool finished_ = false;
 };

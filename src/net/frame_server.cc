@@ -37,6 +37,11 @@ constexpr size_t kInlineAbsorbMaxPayload =
 /// into one accumulator so totals stay exact under reconnect storms.
 constexpr size_t kMaxDepartedRows = 64;
 
+/// SO_SNDTIMEO on accepted sockets: a client that requests a reply
+/// (SNAPSHOT, QUERY, ...) but stops reading can stall a server-side write
+/// for at most this long before the write fails and the connection is cut.
+constexpr int kSendTimeoutSeconds = 30;
+
 }  // namespace
 
 FrameServer::FrameServer(const SketchParams& params, double epsilon,
@@ -137,14 +142,9 @@ void FrameServer::AcceptLoop() {
       continue;
     }
     backoff.Reset();  // a successful accept ends the incident
-    if (options_.send_timeout_seconds > 0) {
-      socket->SetSendTimeout(options_.send_timeout_seconds);
-    }
+    socket->SetSendTimeout(kSendTimeoutSeconds);
     if (options_.idle_timeout_seconds > 0) {
       socket->SetRecvTimeout(options_.idle_timeout_seconds);
-    }
-    if (!options_.fault_site.empty()) {
-      socket->set_fault_site(options_.fault_site);
     }
     auto conn = std::make_unique<Connection>();
     conn->id = connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -280,8 +280,6 @@ bool FrameServer::OpenSession(Connection& conn, FrameReader& reader) {
     return false;
   }
   SessionHelloOk ok;
-  ok.num_shards = static_cast<uint32_t>(aggregator_.num_shards());
-  ok.acked_data = options_.backpressure == BackpressurePolicy::kShed;
   if (hello->has_region) {
     // The epoch sync a (re)connecting regional shipper runs on: the first
     // epoch this server has NOT applied for that region. A region it has
@@ -377,53 +375,36 @@ bool FrameServer::HandleData(Connection& conn, InboundFrame& frame) {
   if (frame.payload().size() <= kInlineAbsorbMaxPayload) {
     // Run to completion: absorbing a small frame here costs less than
     // handing it to the pump, and it is in the lanes before the reader
-    // reads on, so it never counts in data_inflight and is never shed.
-    if (!AbsorbData(conn, shard, frame.payload(), frame.trace,
-                    /*enqueue_ns=*/0, ObsEnabled() ? NowNanos() : 0)) {
-      return false;
-    }
-  } else {
-    ShardLane& lane = *lanes_[shard];
-    bool shed = false;
-    {
-      MutexLock lock(mu_);
-      if (options_.backpressure == BackpressurePolicy::kShed &&
-          lane.queue.size() >= options_.queue_capacity && !stopping_) {
-        shed = true;
-      } else {
-        // Block policy: park until the shard's pump makes space. During a
-        // stopping drain the frame is admitted regardless so the reader can
-        // reach the client's close — memory stays bounded at capacity + 1
-        // per shard.
-        while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
-          space_cv_.Wait(mu_);
-        }
-        ++conn.data_inflight;
-        PumpItem item;
-        item.conn = &conn;
-        item.payload = frame.wire.TakePayload();
-        item.payload_offset = frame.offset;
-        item.trace = frame.trace;
-        if (ObsEnabled()) item.enqueue_ns = NowNanos();
-        lane.queue.push_back(std::move(item));
-        // Writers are serialized by mu_, so load-then-store cannot lose an
-        // update; the atomic exists for the lock-free metrics read.
-        const uint64_t depth = lane.queue.size();
-        if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
-          lane.queue_high_water.store(depth, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (shed) {
-      conn.frames_shed.fetch_add(1, std::memory_order_relaxed);
-      const uint8_t busy = static_cast<uint8_t>(DataAckCode::kBusy);
-      return Reply(conn, NetFrameType::kDataAck, {&busy, 1});
-    }
-    lane.work_cv.NotifyOne();
+    // reads on, so it never counts in data_inflight.
+    return AbsorbData(conn, shard, frame.payload(), frame.trace,
+                      /*enqueue_ns=*/0, ObsEnabled() ? NowNanos() : 0);
   }
-  if (options_.backpressure != BackpressurePolicy::kShed) return true;
-  const uint8_t absorbed = static_cast<uint8_t>(DataAckCode::kAbsorbed);
-  return Reply(conn, NetFrameType::kDataAck, {&absorbed, 1});
+  ShardLane& lane = *lanes_[shard];
+  {
+    MutexLock lock(mu_);
+    // Park until the shard's pump makes space. During a stopping drain the
+    // frame is admitted regardless so the reader can reach the client's
+    // close — memory stays bounded at capacity + 1 per shard.
+    while (lane.queue.size() >= options_.queue_capacity && !stopping_) {
+      space_cv_.Wait(mu_);
+    }
+    ++conn.data_inflight;
+    PumpItem item;
+    item.conn = &conn;
+    item.payload = frame.wire.TakePayload();
+    item.payload_offset = frame.offset;
+    item.trace = frame.trace;
+    if (ObsEnabled()) item.enqueue_ns = NowNanos();
+    lane.queue.push_back(std::move(item));
+    // Writers are serialized by mu_, so load-then-store cannot lose an
+    // update; the atomic exists for the lock-free metrics read.
+    const uint64_t depth = lane.queue.size();
+    if (depth > lane.queue_high_water.load(std::memory_order_relaxed)) {
+      lane.queue_high_water.store(depth, std::memory_order_relaxed);
+    }
+  }
+  lane.work_cv.NotifyOne();
+  return true;
 }
 
 bool FrameServer::HandleSnapshot(Connection& conn, InboundFrame& /*frame*/) {
@@ -628,7 +609,6 @@ void FrameServer::ReapFinishedConnections() {
       departed_folded_.bytes_received += old.bytes_received;
       departed_folded_.reports_ingested += old.reports_ingested;
       departed_folded_.corrupt_frames_rejected += old.corrupt_frames_rejected;
-      departed_folded_.frames_shed += old.frames_shed;
       departed_.pop_front();
       ++connections_folded_;
     }
@@ -989,7 +969,6 @@ ConnectionMetrics FrameServer::SnapshotConnection(
   c.reports_ingested = conn.reports_ingested.load(std::memory_order_relaxed);
   c.corrupt_frames_rejected =
       conn.corrupt_frames.load(std::memory_order_relaxed);
-  c.frames_shed = conn.frames_shed.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -1042,14 +1021,12 @@ NetMetrics FrameServer::metrics() const {
   m.bytes_received = departed_folded_.bytes_received;
   m.reports_ingested = departed_folded_.reports_ingested;
   m.corrupt_frames_rejected = departed_folded_.corrupt_frames_rejected;
-  m.frames_shed = departed_folded_.frames_shed;
   for (const ConnectionMetrics& c : m.connections) {
     m.connections_active += c.active ? 1 : 0;
     m.frames_received += c.frames_received;
     m.bytes_received += c.bytes_received;
     m.reports_ingested += c.reports_ingested;
     m.corrupt_frames_rejected += c.corrupt_frames_rejected;
-    m.frames_shed += c.frames_shed;
   }
   for (const auto& lane : lanes_) {
     ShardMetrics shard;

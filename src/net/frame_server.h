@@ -32,15 +32,14 @@
 // absorb.
 //
 // Backpressure (bounded memory): each shard's queue holds at most
-// `queue_capacity` frames. kBlock parks the reader until the pump makes
-// space — the kernel receive buffer fills and TCP flow control pushes back
-// on the client. kShed refuses a queued DATA frame with a retriable busy
-// ack instead (the client retries; see FrameSender). Inline DATA frames
-// and control frames are never queued, so they never wait for space and
-// are never shed; an inline frame's absorbed ack goes out after its
-// absorb. Either way the server's memory is one sketch per shard, the
-// shard queues and one read buffer per live connection — never
-// proportional to client traffic.
+// `queue_capacity` frames. A reader whose DATA frame finds its shard's
+// queue full parks until the pump makes space; the kernel receive buffer
+// fills and TCP flow control pushes back on the client. DATA is never
+// answered, refused or retried, so that is the only flow-control rule.
+// Inline DATA frames and control frames are never queued, so they never
+// wait for space. The server's memory is one sketch per shard, the shard
+// queues and one read buffer per live connection — never proportional to
+// client traffic.
 //
 // Untrusted input: a malformed transport frame, an oversized length prefix,
 // a frame type clients may not send, a corrupt LJSB envelope or pushed
@@ -77,9 +76,12 @@
 
 namespace ldpjs {
 
+/// What a full shard queue does to a DATA frame: kBlock parks the reader,
+/// and TCP flow control slows the client. It is the only policy; the type
+/// stays because the frozen benchmark ledger (bench/ledger/util.cc)
+/// assigns FrameServerOptions::backpressure.
 enum class BackpressurePolicy {
-  kBlock,  ///< park the reader; TCP flow control slows the client
-  kShed,   ///< refuse DATA with a busy ack; client retries
+  kBlock,
 };
 
 struct FrameServerOptions {
@@ -87,21 +89,12 @@ struct FrameServerOptions {
   size_t num_shards = 1;      ///< aggregation shards == ingest pumps (>= 1)
   size_t queue_capacity = 64; ///< max queued frames per shard
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
-  /// SO_SNDTIMEO on accepted sockets: a client that requests a reply
-  /// (SNAPSHOT, acks) but stops reading can stall a server-side write for
-  /// at most this long before the write fails and the connection is cut.
-  /// 0 disables the guard.
-  int send_timeout_seconds = 30;
   /// SO_RCVTIMEO on accepted sockets — the idle-connection watchdog: a
   /// client that goes silent for this long is reaped (counted in
   /// idle_reaped) and its fd/thread reclaimed. 0 (default) disables the
   /// deadline: a regional shipper legitimately idles between epochs, so
   /// only deployments that know their traffic cadence should arm this.
   int idle_timeout_seconds = 0;
-  /// Fault-injection site label stamped on every accepted socket (chaos
-  /// runs check "<fault_site>.send"/".recv"). Empty — the default —
-  /// disables injection on server-side connections.
-  std::string fault_site;
   /// Called exactly once per fresh (region, epoch) EPOCH_PUSH, after the
   /// snapshot is merged into the lanes and before the push is acked — the
   /// (region, epoch) dedup guarantees the exactly-once, and a retried
@@ -238,7 +231,7 @@ class FrameServer {
     uint64_t id = 0;
     Socket socket;
     std::thread reader;
-    /// Serializes socket writes (acks, replies). A nested struct cannot
+    /// Serializes socket writes (replies). A nested struct cannot
     /// name the owning server's mu_ in a GUARDED_BY, so the two fields
     /// below carry their discipline as comments; the enclosing class's
     /// annotated methods are where the analysis enforces it.
@@ -251,7 +244,6 @@ class FrameServer {
     std::atomic<uint64_t> bytes_received{0};
     std::atomic<uint64_t> reports_ingested{0};
     std::atomic<uint64_t> corrupt_frames{0};
-    std::atomic<uint64_t> frames_shed{0};
   };
   struct PumpItem {
     Connection* conn;             ///< kept alive until inflight drains

@@ -21,7 +21,6 @@ struct ConnectionMetrics {
   uint64_t bytes_received = 0;           ///< transport bytes (header+payload)
   uint64_t reports_ingested = 0;         ///< reports absorbed into lanes
   uint64_t corrupt_frames_rejected = 0;  ///< transport- or envelope-level
-  uint64_t frames_shed = 0;              ///< DATA refused with a busy ack
 };
 
 /// Per-shard counters. With multi-pump ingest each shard owns a queue and a
@@ -62,7 +61,6 @@ struct NetMetrics {
   uint64_t bytes_received = 0;
   uint64_t reports_ingested = 0;
   uint64_t corrupt_frames_rejected = 0;
-  uint64_t frames_shed = 0;
   uint64_t queue_high_water = 0;  ///< max over shards
   // Federation totals (sum of the region rows).
   uint64_t epochs_applied = 0;
@@ -72,7 +70,7 @@ struct NetMetrics {
   uint64_t accept_fatal = 0;        ///< fatal accept errors (acceptor stops)
   uint64_t idle_reaped = 0;         ///< connections closed by idle deadline
   uint64_t connections_folded = 0;  ///< departed rows folded into totals
-  uint64_t retries_attempted = 0;   ///< wire retries (ship + busy backoff)
+  uint64_t retries_attempted = 0;   ///< wire retries (accepts + ships)
   uint64_t backoff_millis = 0;      ///< cumulative time slept in backoff
   uint64_t faults_injected = 0;     ///< injected faults observed (chaos runs)
   uint64_t spool_bytes_written = 0; ///< durable spool appends

@@ -9,8 +9,10 @@ namespace ldpjs {
 namespace {
 
 bool IsKnownFrameType(uint8_t type) {
+  // 4 was DATA_ACK, which v6 dropped; the number stays unassigned.
   return type >= static_cast<uint8_t>(NetFrameType::kHello) &&
-         type <= static_cast<uint8_t>(NetFrameType::kFleetStats);
+         type <= static_cast<uint8_t>(NetFrameType::kFleetStats) &&
+         type != 4;
 }
 
 /// The handshake's version rule, shared by HELLO and HELLO_OK.
@@ -89,8 +91,6 @@ Result<SessionHello> DecodeHello(std::span<const uint8_t> payload) {
 std::vector<uint8_t> EncodeHelloOk(const SessionHelloOk& ok) {
   BinaryWriter writer;
   writer.PutU8(ok.version);
-  writer.PutU32(ok.num_shards);
-  writer.PutU8(ok.acked_data ? 1 : 0);
   writer.PutU64(ok.region_next_epoch);
   return writer.TakeBuffer();
 }
@@ -100,10 +100,6 @@ Result<SessionHelloOk> DecodeHelloOk(std::span<const uint8_t> payload) {
   auto version = reader.GetU8();
   if (!version.ok()) return version.status();
   LDPJS_RETURN_IF_ERROR(CheckVersion(*version));
-  auto shards = reader.GetU32();
-  if (!shards.ok()) return shards.status();
-  auto acked = reader.GetU8();
-  if (!acked.ok()) return acked.status();
   auto next_epoch = reader.GetU64();
   if (!next_epoch.ok()) return next_epoch.status();
   if (!reader.AtEnd()) {
@@ -111,8 +107,6 @@ Result<SessionHelloOk> DecodeHelloOk(std::span<const uint8_t> payload) {
   }
   SessionHelloOk ok;
   ok.version = *version;
-  ok.num_shards = *shards;
-  ok.acked_data = *acked != 0;
   ok.region_next_epoch = *next_epoch;
   return ok;
 }

@@ -12,10 +12,8 @@
 //   client                                 server
 //     | -- HELLO {magic,ver,k,m,seed,eps, -> |  version and params must
 //     |           region?}                   |  match exactly, else ERROR
-//     | <- HELLO_OK {ver,shards,ack_mode, -- |  (FailedPrecondition) + close
-//     |              region_next_epoch}      |
-//     | -- DATA {LJSB batch envelope} -----> |  ingest into a shard
-//     | <- DATA_ACK {code} ---------------- |  shed mode only; busy = retry
+//     | <- HELLO_OK {ver,region_next_epoch}  |  (FailedPrecondition) + close
+//     | -- DATA {LJSB batch envelope} -----> |  ingest into a shard; no reply
 //     |            ...                       |
 //     | -- BYE / FINALIZE -----------------> |  all of this connection's
 //     | <- BYE_OK / FINALIZE_OK ----------- |  frames are ingested
@@ -27,7 +25,7 @@
 //
 // Client→server requests and their replies:
 //
-//   DATA             → DATA_ACK (shed mode only)  LJSB batch, into a shard
+//   DATA             (no reply)        LJSB batch, into a shard
 //   SNAPSHOT         → SNAPSHOT_DATA   merged raw (un-finalized) lanes
 //   PING             → PING_OK         ingest barrier + view republish
 //   EPOCH_PUSH       → EPOCH_PUSH_OK   a region ships one epoch's lanes
@@ -50,10 +48,16 @@
 // STATS_REQUEST, STATS_PUSH and FLEET_STATS_REQUEST are answered at once,
 // never behind ingest.
 //
+// Flow control is TCP's: a DATA frame is write-only, and a server whose
+// shard queue is full stops reading the connection until there is room, so
+// the client's sends block. Lanes are sums of ±1 votes, so lossless
+// in-order delivery is all ingest needs; nothing is ever refused and
+// retried.
+//
 // DATA payloads are exactly the "LJSB" batch-envelope records the in-process
-// service ingests (EncodeReportBatch), so the network tier adds framing and
-// flow control but never re-encodes reports — which is what makes the TCP
-// path bit-identical to in-process ingestion.
+// service ingests (EncodeReportBatch), so the network tier adds framing but
+// never re-encodes reports — which is what makes the TCP path bit-identical
+// to in-process ingestion.
 #ifndef LDPJS_NET_PROTOCOL_H_
 #define LDPJS_NET_PROTOCOL_H_
 
@@ -73,18 +77,18 @@ namespace ldpjs {
 inline constexpr uint32_t kNetMagic = 0x50534A4CU;  // "LJSP" little-endian
 /// The one protocol version this build speaks. Both handshake frames carry
 /// it; any other value is refused (see DecodeHello / DecodeHelloOk).
-inline constexpr uint8_t kNetVersion = 5;
+inline constexpr uint8_t kNetVersion = 6;
 
 /// Frame types. Client→server: kHello, kData, kSnapshot, kFinalize, kBye,
 /// kEpochPush, kPing, kQuery, kStatsRequest, kTraced, kStatsPush,
-/// kFleetStatsRequest. Server→client: kHelloOk, kDataAck, kSnapshotData,
+/// kFleetStatsRequest. Server→client: kHelloOk, kSnapshotData,
 /// kFinalizeOk, kByeOk, kError, kEpochPushOk, kPingOk, kQueryOk, kStats,
-/// kStatsPushOk, kFleetStats.
+/// kStatsPushOk, kFleetStats. Type 4 is unassigned: both frame readers
+/// refuse it like any other unknown type.
 enum class NetFrameType : uint8_t {
   kHello = 1,
   kHelloOk = 2,
   kData = 3,
-  kDataAck = 4,
   kSnapshot = 5,
   kSnapshotData = 6,
   /// Payload: empty (anonymous — every request counts), or u32 region_id
@@ -101,7 +105,7 @@ enum class NetFrameType : uint8_t {
   /// heartbeat (the region had nothing to ship but its epoch clock still
   /// advances, so an idle region never freezes the windowed view's
   /// aligned frontier). Ordered after the connection's DATA like the
-  /// other non-DATA frames; never shed.
+  /// other control frames.
   kEpochPush = 12,
   /// Ack for kEpochPush: an EpochPushAckCode byte plus the server's
   /// next-expected epoch for the pushing region (see EpochPushAck).
@@ -184,12 +188,6 @@ inline constexpr uint64_t kMaxQueryRangeWidth = uint64_t{1} << 22;
 /// Cap on middle sketches in one multiway-chain query.
 inline constexpr size_t kMaxQueryMiddles = 8;
 
-/// DATA_ACK payload (one byte).
-enum class DataAckCode : uint8_t {
-  kAbsorbed = 0,
-  kBusy = 1,  ///< shed by backpressure — retriable
-};
-
 /// HELLO payload: the sketch session parameters. The server accepts a
 /// connection only if every field matches its own configuration bit for bit
 /// (mismatched params would silently poison lanes, never mergeable).
@@ -213,15 +211,12 @@ std::vector<uint8_t> EncodeHello(const SessionHello& hello);
 /// version is not kNetVersion (the rest of a foreign HELLO is not parsed).
 Result<SessionHello> DecodeHello(std::span<const uint8_t> payload);
 
-/// HELLO_OK payload: protocol version echo plus the server's shard count
-/// and whether every DATA frame will be acked (shed-mode flow control).
+/// HELLO_OK payload, 9 bytes: u8 version | u64 region_next_epoch.
 /// `region_next_epoch` answers a region-announcing HELLO with the first
 /// epoch the server has NOT applied for that region (0 when the region has
 /// never pushed, or when the HELLO carried no region).
 struct SessionHelloOk {
   uint8_t version = kNetVersion;
-  uint32_t num_shards = 0;
-  bool acked_data = false;
   uint64_t region_next_epoch = 0;
 };
 

@@ -1,8 +1,8 @@
 // Structured operational event log: a bounded ring of JSONL-serializable
 // records for the state changes a counter cannot express — health
 // transitions (with the breached rule as `cause`), upstream reconnects,
-// spool replays after a crash-restart, idle-connection reaps, and shed
-// bursts. Dashboards read rates from the metrics registry; incident
+// spool replays after a crash-restart, and idle-connection reaps.
+// Dashboards read rates from the metrics registry; incident
 // timelines read WHAT changed and WHY from here.
 //
 // Each FrameServer owns one EventLog (a process-global ring would

@@ -68,11 +68,8 @@ HealthVerdict EvaluateHealth(const HealthSignals& signals,
             options.critical_multiplier, "spool_depth", " epochs",
             &verdict.state, &verdict.cause);
   if (signals.frames > 0) {
-    const double frames = static_cast<double>(signals.frames);
-    ApplyRule(static_cast<double>(signals.shed) / frames, options.shed_rate,
-              options.critical_multiplier, "shed_rate", "", &verdict.state,
-              &verdict.cause);
-    ApplyRule(static_cast<double>(signals.corrupt) / frames,
+    ApplyRule(static_cast<double>(signals.corrupt) /
+                  static_cast<double>(signals.frames),
               options.corrupt_rate, options.critical_multiplier,
               "corrupt_rate", "", &verdict.state, &verdict.cause);
   }
@@ -89,7 +86,6 @@ HealthSignals SignalsFromMetrics(const NetMetrics& metrics,
                                  const MetricsRegistry::Snapshot& snapshot) {
   HealthSignals signals;
   signals.frames = metrics.frames_received;
-  signals.shed = metrics.frames_shed;
   signals.corrupt = metrics.corrupt_frames_rejected;
   ReadI2q(snapshot, &signals);
   return signals;
@@ -99,7 +95,6 @@ HealthSignals SignalsFromSnapshot(const MetricsRegistry::Snapshot& snapshot,
                                   uint64_t frontier_max, uint64_t age_ns) {
   HealthSignals signals;
   signals.frames = SeriesValue(snapshot.counters, "net_frames_received");
-  signals.shed = SeriesValue(snapshot.counters, "net_frames_shed");
   signals.corrupt =
       SeriesValue(snapshot.counters, "net_corrupt_frames_rejected");
   signals.spool_depth = SeriesValue(snapshot.gauges, "net_pending_epochs");

@@ -2,8 +2,8 @@
 //
 // Health is a pure function of signals a snapshot already carries (no new
 // instrumentation): the ingest-to-queryable p99 against its SLO target,
-// cross-region frontier lag, spool/pending-queue growth, shed and corrupt
-// frame rates, and the staleness of a region's last stats push. Each rule
+// cross-region frontier lag, spool/pending-queue growth, the corrupt
+// frame rate, and the staleness of a region's last stats push. Each rule
 // maps to OK / DEGRADED / CRITICAL independently; the verdict is the worst
 // rule with the breached rules named in `cause`, so an operator (or the CI
 // smoke job) can read WHY a state tripped without correlating dashboards.
@@ -45,8 +45,6 @@ struct HealthOptions {
   uint64_t frontier_lag_epochs = 8;
   /// Unshipped (pending/spooled) epochs before the backlog is a signal.
   uint64_t spool_depth_epochs = 16;
-  /// Shed frames as a fraction of frames received.
-  double shed_rate = 0.01;
   /// Corrupt frames as a fraction of frames received.
   double corrupt_rate = 0.01;
   /// Nanoseconds since a region's last stats push before it counts as
@@ -63,7 +61,6 @@ struct HealthSignals {
   uint64_t frontier_lag = 0;
   uint64_t spool_depth = 0;
   uint64_t frames = 0;
-  uint64_t shed = 0;
   uint64_t corrupt = 0;
   uint64_t age_ns = 0;  ///< since the last stats push (0 for local)
 };
@@ -78,7 +75,7 @@ struct HealthVerdict {
 HealthVerdict EvaluateHealth(const HealthSignals& signals,
                              const HealthOptions& options);
 
-/// Signals for this node: shed/corrupt/frame counts from its NetMetrics,
+/// Signals for this node: corrupt/frame counts from its NetMetrics,
 /// the i2q p99 from its registry snapshot. Frontier lag and push staleness
 /// are fleet-relative concepts and stay zero here.
 HealthSignals SignalsFromMetrics(const NetMetrics& metrics,

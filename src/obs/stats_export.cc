@@ -99,7 +99,9 @@ std::string StatsToJson(const NetMetrics& m,
   AppendField(out, "reports_ingested", m.reports_ingested, &first);
   AppendField(out, "corrupt_frames_rejected", m.corrupt_frames_rejected,
               &first);
-  AppendField(out, "frames_shed", m.frames_shed, &first);
+  // Always 0: nothing sheds frames any more, but deployed scrapers read
+  // the key (frozen by NetStatsTest.LegacyJsonKeysUnchanged).
+  AppendField(out, "frames_shed", 0, &first);
   AppendField(out, "queue_high_water", m.queue_high_water, &first);
   AppendField(out, "epochs_applied", m.epochs_applied, &first);
   AppendField(out, "epoch_duplicates_ignored", m.epoch_duplicates_ignored,
@@ -155,7 +157,6 @@ std::string StatsToJson(const NetMetrics& m,
     AppendField(out, "bytes_received", c.bytes_received, &f);
     AppendField(out, "reports_ingested", c.reports_ingested, &f);
     AppendField(out, "corrupt_frames_rejected", c.corrupt_frames_rejected, &f);
-    AppendField(out, "frames_shed", c.frames_shed, &f);
     out += '}';
   }
   out += "],\"shards\":[";

@@ -137,6 +137,17 @@ TEST(LdpClientDeathTest, InvalidParamsAbort) {
   EXPECT_DEATH(LdpJoinSketchClient(SmallParams(), -1.0), "LDPJS_CHECK failed");
 }
 
+// A report names its row in a uint16_t, so a sketch with more rows would
+// wrap draws onto row 0 and serialize a shape Deserialize refuses: every
+// constructor refuses it instead.
+TEST(LdpClientDeathTest, MoreRowsThanAReportCanNameAbort) {
+  SketchParams params = SmallParams();
+  params.k = kMaxSketchRows + 1;
+  params.m = 2;
+  EXPECT_DEATH(LdpJoinSketchClient(params, 1.0), "LDPJS_CHECK failed");
+  EXPECT_DEATH(LdpJoinSketchServer(params, 1.0), "LDPJS_CHECK failed");
+}
+
 TEST(LdpReportTest, EncodeDecodeRoundTrip) {
   BinaryWriter writer;
   const LdpReport original{-1, 17, 1023};

@@ -210,6 +210,11 @@ TEST(MultiwayDeathTest, ValidationAndLifecycle) {
   MultiwayParams bad = MidParams();
   bad.m_left = 100;  // not a power of two
   EXPECT_DEATH(LdpMultiwayServer(bad, 1.0), "LDPJS_CHECK failed");
+  // More rows than MultiwayReport::replica (a uint16_t) can name.
+  MultiwayParams too_many_rows = MidParams(2, 2);
+  too_many_rows.k = kMaxSketchRows + 1;
+  EXPECT_DEATH(LdpMultiwayClient(too_many_rows, 1.0), "LDPJS_CHECK failed");
+  EXPECT_DEATH(LdpMultiwayServer(too_many_rows, 1.0), "LDPJS_CHECK failed");
 
   LdpMultiwayServer server(MidParams(2, 32), 1.0);
   server.Finalize();

@@ -215,6 +215,16 @@ TEST(LdpServerTest, DeserializeRejectsCorruptedShape) {
   auto bytes = server.Serialize();
   bytes[0] = 0;  // k = 0
   EXPECT_FALSE(LdpJoinSketchServer::Deserialize(bytes).ok());
+  // m = 2^31 is a power of two but no SketchParams::m: a clean
+  // Corruption, never an abort on the bytes of an untrusted peer.
+  bytes = server.Serialize();
+  const size_t m_offset = 4 + 1 + 4;  // magic, version, k
+  bytes[m_offset] = 0;
+  bytes[m_offset + 1] = 0;
+  bytes[m_offset + 2] = 0;
+  bytes[m_offset + 3] = 0x80;
+  EXPECT_EQ(LdpJoinSketchServer::Deserialize(bytes).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(LdpServerTest, DeserializeRejectsTruncation) {

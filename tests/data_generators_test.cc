@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "data/alias_sampler.h"
 #include "data/datasets.h"
 #include "data/gaussian.h"
@@ -10,12 +11,6 @@
 
 namespace ldpjs {
 namespace {
-
-TEST(AliasSamplerTest, NormalizesWeights) {
-  AliasSampler sampler({1.0, 3.0});
-  EXPECT_NEAR(sampler.probability(0), 0.25, 1e-12);
-  EXPECT_NEAR(sampler.probability(1), 0.75, 1e-12);
-}
 
 TEST(AliasSamplerTest, EmpiricalMatchesWeights) {
   AliasSampler sampler({1.0, 2.0, 3.0, 4.0});
@@ -58,6 +53,15 @@ TEST(ZipfTest, DeterministicForSeed) {
   const Column a = GenerateZipf(params);
   const Column b = GenerateZipf(params);
   EXPECT_EQ(a.values(), b.values());
+
+  // Pinned draws: a change to the alias table build must keep every key
+  // (h <- Mix64(h ^ v) over the column, from 0).
+  params.alpha = 1.5;
+  params.rows = 100000;
+  const Column pinned = GenerateZipf(params);
+  uint64_t h = 0;
+  for (const uint64_t v : pinned.values()) h = Mix64(h ^ v);
+  EXPECT_EQ(h, 0x2d21c9a6056d1f3fULL);
 }
 
 TEST(ZipfTest, ValuesWithinDomain) {

@@ -16,7 +16,6 @@
 
 #include "common/socket.h"
 #include "federation/central_node.h"
-#include "federation/epoch_scheduler.h"
 #include "federation/regional_node.h"
 #include "net/frame_sender.h"
 
@@ -372,32 +371,56 @@ TEST(FederationTest, EpochPushPayloadBoundCoversRealPushes) {
   EXPECT_LE(payload.size(), EpochPushPayloadBound(params));
 }
 
-// The scheduler fires periodically on its own thread, coalesces manual
-// triggers, and never ticks after Stop.
-TEST(FederationTest, EpochSchedulerPeriodicAndManual) {
-  std::atomic<uint64_t> ticks{0};
-  {
-    EpochScheduler periodic(std::chrono::milliseconds(5),
-                            [&](uint64_t) { ++ticks; });
-    periodic.Start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    periodic.Stop();
-  }
-  EXPECT_GE(ticks.load(), 3u);
+// The region's own clock: at epoch_millis = 5, epochs cut and ship with no
+// CutAndShip call while a client streams; once FlushAndStop returns the
+// clock is stopped, so nothing more ships; and the central's sketch equals
+// a direct absorb of every report, bit for bit.
+TEST(FederationTest, RegionalClockShipsEpochsUntilFlushAndStop) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  LdpJoinSketchClient client(params, epsilon);
+  LdpJoinSketchServer direct(params, epsilon);
 
-  std::vector<uint64_t> fired;
-  EpochScheduler manual(std::chrono::milliseconds(0),
-                        [&](uint64_t epoch) { fired.push_back(epoch); });
-  manual.Start();
-  manual.TriggerNow();
-  manual.TriggerNow();
-  manual.TriggerNow();
-  manual.Stop();
-  // TriggerNow is synchronous: all three ticks ran, in order, on the
-  // scheduler thread (no data race on `fired`).
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[0], 0u);
-  EXPECT_EQ(fired[2], 2u);
+  CentralNode central(params, epsilon, CentralNodeOptions{});
+  ASSERT_TRUE(central.Start().ok());
+  RegionalNodeOptions options;
+  options.region_id = 3;
+  options.central_port = central.port();
+  options.server.num_shards = 2;
+  options.epoch_millis = 5;
+  RegionalNode region(params, epsilon, options);
+  ASSERT_TRUE(region.Start().ok());
+  auto sender =
+      FrameSender::Connect("127.0.0.1", region.port(), params, epsilon);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+
+  // Batches keep arriving across several periods, so cuts fall between
+  // (and inside) them.
+  for (size_t b = 0; b < 8; ++b) {
+    const std::vector<LdpReport> batch = PerturbColumn(client, 3000, 60 + b);
+    direct.AbsorbBatch(batch);
+    ASSERT_TRUE(sender->SendReports(batch).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (region.epochs_shipped() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(region.epochs_shipped(), 3u);
+
+  ASSERT_TRUE(sender->Finish().ok());
+  ASSERT_TRUE(region.FlushAndStop().ok());
+  const uint64_t shipped = region.epochs_shipped();
+  const uint64_t next_epoch = central.metrics().regions.at(0).next_epoch;
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));  // 8 periods
+  EXPECT_EQ(region.epochs_shipped(), shipped);
+  EXPECT_EQ(central.metrics().regions.at(0).next_epoch, next_epoch);
+
+  central.Stop();
+  direct.Finalize();
+  EXPECT_EQ(central.Finalize().Serialize(), direct.Serialize());
 }
 
 // An unreachable central exhausts the attempt budget with a clean

@@ -119,6 +119,14 @@ TEST(HcmsDeathTest, NonPowerOfTwoMAborts) {
   EXPECT_DEATH(HcmsClient{params}, "LDPJS_CHECK failed");
 }
 
+TEST(HcmsDeathTest, MoreRowsThanAReportCanNameAbort) {
+  HcmsParams params = SmallParams();
+  params.k = 65536;  // HcmsReport::j is a uint16_t
+  params.m = 2;
+  EXPECT_DEATH(HcmsClient{params}, "LDPJS_CHECK failed");
+  EXPECT_DEATH(HcmsServer{params}, "LDPJS_CHECK failed");
+}
+
 TEST(HcmsTest, ByteSizeMatchesShape) {
   const HcmsParams params = SmallParams();
   HcmsServer server(params);

@@ -55,7 +55,6 @@ FleetSnapshot MakeRegionSnapshot(uint32_t region_id, uint64_t frontier,
   snap.captured_unix_ns = NowNanos();
   snap.stats = registry.TakeSnapshot();
   snap.stats.counters.emplace_back("net_frames_received", 50);
-  snap.stats.counters.emplace_back("net_frames_shed", 0);
   snap.stats.counters.emplace_back("net_corrupt_frames_rejected", 0);
   snap.stats.counters.emplace_back("net_reports_ingested",
                                    100 * (region_id + 1));

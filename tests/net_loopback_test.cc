@@ -83,7 +83,6 @@ TEST(NetLoopbackTest, SendReportsMatchesDirectAbsorbBitForBit) {
   auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
                                      epsilon);
   ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-  EXPECT_EQ(sender->server_shards(), 3u);
   ASSERT_TRUE(sender->SendReports(reports).ok());
   ASSERT_TRUE(sender->Finish().ok());
   server.Stop();
@@ -106,6 +105,37 @@ TEST(NetLoopbackTest, SendReportsMatchesDirectAbsorbBitForBit) {
   EXPECT_EQ(metrics.shards.size(), 3u);
   EXPECT_EQ(shard_reports, reports.size());
   EXPECT_GE(metrics.queue_high_water, 1u);
+}
+
+// Every request goes through one exchange, so the sender's counters see
+// every frame it wrote: the HELLO, each DATA and each control request.
+// The server counts the same bytes, and every frame but the HELLO.
+TEST(NetLoopbackTest, SenderCountsEveryFrameItWrites) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  LdpJoinSketchClient client(params, epsilon);
+  const std::vector<LdpReport> reports =
+      PerturbColumn(client, 2 * kMaxWireBatchReports + 10, 5);
+
+  FrameServer server(params, epsilon, FrameServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto sender =
+      FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+  ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+  EXPECT_EQ(sender->frames_sent(), 1u);  // the HELLO
+  ASSERT_TRUE(sender->SendReports(reports).ok());  // 3 DATA frames
+  ASSERT_TRUE(sender->Ping().ok());
+  ASSERT_TRUE(sender->SnapshotRawSketch().ok());
+  ASSERT_TRUE(sender->Stats().ok());
+  ASSERT_TRUE(sender->Query(QueryRequest{}).ok());
+  ASSERT_TRUE(sender->FleetStats().ok());
+  ASSERT_TRUE(sender->Finish().ok());
+  server.Stop();
+
+  EXPECT_EQ(sender->frames_sent(), 10u);
+  const NetMetrics metrics = server.metrics();
+  EXPECT_EQ(metrics.frames_received + 1, sender->frames_sent());
+  EXPECT_EQ(metrics.bytes_received, sender->bytes_sent());
 }
 
 TEST(NetLoopbackTest, SnapshotMatchesDirectRawLanes) {
@@ -217,8 +247,7 @@ TEST(NetLoopbackTest, HelloOkWithAnotherVersionFailsConnect) {
     ASSERT_TRUE(hello.ok());
     ASSERT_EQ(hello->type, NetFrameType::kHello);
     SessionHelloOk ok;
-    ok.version = 4;
-    ok.num_shards = 1;
+    ok.version = kNetVersion - 1;
     ASSERT_TRUE(
         WriteNetFrame(*conn, NetFrameType::kHelloOk, EncodeHelloOk(ok)).ok());
     // The client hangs up without sending anything else.
@@ -248,7 +277,7 @@ TEST(NetLoopbackTest, NonRequestFrameTypesAreRejected) {
 
   uint64_t corrupt = 0;
   for (const NetFrameType type :
-       {NetFrameType::kHello, NetFrameType::kHelloOk, NetFrameType::kDataAck,
+       {NetFrameType::kHello, NetFrameType::kHelloOk,
         NetFrameType::kSnapshotData, NetFrameType::kFinalizeOk,
         NetFrameType::kByeOk, NetFrameType::kError,
         NetFrameType::kEpochPushOk, NetFrameType::kPingOk,
@@ -483,89 +512,6 @@ TEST(NetLoopbackTest, MetricsSnapshotRacesIngestCleanly) {
   poller.join();
   server.Stop();
   EXPECT_EQ(server.metrics().reports_ingested, reports.size());
-}
-
-TEST(NetLoopbackTest, ShedBackpressureLosesNothing) {
-  const SketchParams params = TestParams();
-  const double epsilon = 2.0;
-  LdpJoinSketchClient client(params, epsilon);
-  const std::vector<LdpReport> reports = PerturbColumn(client, 40000, 23);
-
-  FrameServerOptions options;
-  options.num_shards = 2;
-  options.queue_capacity = 1;  // force backpressure on every burst
-  options.backpressure = BackpressurePolicy::kShed;
-  FrameServer server(params, epsilon, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  FrameSender::Options sender_options;
-  sender_options.busy_backoff = {.base_micros = 50, .cap_micros = 2000};
-  auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
-                                     epsilon, sender_options);
-  ASSERT_TRUE(sender.ok());
-  EXPECT_TRUE(sender->acked_data());
-  ASSERT_TRUE(sender->SendReports(reports).ok());
-  ASSERT_TRUE(sender->Finish().ok());
-  server.Stop();
-
-  const NetMetrics metrics = server.metrics();
-  // Shed frames were retried until accepted: nothing lost, nothing doubled.
-  EXPECT_EQ(metrics.reports_ingested, reports.size());
-  EXPECT_LE(metrics.queue_high_water, options.queue_capacity + 1);
-
-  LdpJoinSketchServer direct(params, epsilon);
-  direct.AbsorbBatch(reports);
-  direct.Finalize();
-  EXPECT_EQ(server.Finalize().Serialize(), direct.Serialize());
-}
-
-TEST(NetLoopbackTest, ShedRetryExhaustionYieldsCleanUnavailable) {
-  // A pathological server that sheds every DATA frame: FrameSender must
-  // exhaust its retry budget and surface a clean retriable kUnavailable —
-  // never report the lost frame as success.
-  const SketchParams params = TestParams();
-  const double epsilon = 2.0;
-  auto listener = Socket::ListenTcp(0);
-  ASSERT_TRUE(listener.ok());
-  std::thread always_busy([&] {
-    auto conn = listener->Accept();
-    ASSERT_TRUE(conn.ok());
-    auto hello = ReadNetFrame(*conn, kMaxIngestFramePayload);
-    ASSERT_TRUE(hello.ok());
-    ASSERT_EQ(hello->type, NetFrameType::kHello);
-    SessionHelloOk ok;
-    ok.num_shards = 1;
-    ok.acked_data = true;  // shed-mode session: every DATA is acked
-    ASSERT_TRUE(
-        WriteNetFrame(*conn, NetFrameType::kHelloOk, EncodeHelloOk(ok)).ok());
-    for (;;) {
-      auto frame = ReadNetFrame(*conn, kMaxIngestFramePayload);
-      if (!frame.ok()) break;  // client gave up and closed
-      if (frame->type != NetFrameType::kData) break;
-      const uint8_t busy = static_cast<uint8_t>(DataAckCode::kBusy);
-      if (!WriteNetFrame(*conn, NetFrameType::kDataAck, {&busy, 1}).ok()) {
-        break;
-      }
-    }
-  });
-
-  LdpJoinSketchClient client(params, epsilon);
-  const std::vector<LdpReport> reports = PerturbColumn(client, 100, 31);
-  {
-    FrameSender::Options options;
-    options.max_busy_retries = 3;
-    options.busy_backoff = {.base_micros = 1, .cap_micros = 100};
-    auto sender = FrameSender::Connect("127.0.0.1", listener->local_port(),
-                                       params, epsilon, options);
-    ASSERT_TRUE(sender.ok()) << sender.status().ToString();
-    const Status sent = sender->SendReports(reports);
-    ASSERT_FALSE(sent.ok());
-    EXPECT_EQ(sent.code(), StatusCode::kUnavailable);  // retriable, explicit
-    // Every attempt was refused; the budget (initial try + 3 retries) was
-    // really spent before giving up.
-    EXPECT_EQ(sender->busy_retries(), 4u);
-  }  // sender closes → the fake server's read fails → thread exits
-  always_busy.join();
 }
 
 TEST(NetLoopbackTest, ManyConcurrentSendersMergeExactly) {

@@ -92,15 +92,27 @@ TEST(NetProtocolTest, HelloRejectsBadMagicVersionAndTruncation) {
 
 TEST(NetProtocolTest, HelloOkRoundTrips) {
   SessionHelloOk ok;
-  ok.num_shards = 7;
-  ok.acked_data = true;
   ok.region_next_epoch = 0x1122334455667788ULL;
-  auto decoded = DecodeHelloOk(EncodeHelloOk(ok));
+  const std::vector<uint8_t> bytes = EncodeHelloOk(ok);
+  EXPECT_EQ(bytes.size(), 9u);  // u8 version | u64 region_next_epoch
+  auto decoded = DecodeHelloOk(bytes);
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->version, kNetVersion);
-  EXPECT_EQ(decoded->num_shards, 7u);
-  EXPECT_TRUE(decoded->acked_data);
   EXPECT_EQ(decoded->region_next_epoch, 0x1122334455667788ULL);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    const std::vector<uint8_t> bad(bytes.begin(),
+                                   bytes.begin() + static_cast<long>(cut));
+    EXPECT_FALSE(DecodeHelloOk(bad).ok()) << "cut=" << cut;
+  }
+  std::vector<uint8_t> trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_EQ(DecodeHelloOk(trailing).status().code(), StatusCode::kCorruption);
+  // A v5 HELLO_OK (which also carried a shard count and an ack flag) is a
+  // handshake mismatch, refused on its version byte alone.
+  std::vector<uint8_t> v5 = {uint8_t{kNetVersion - 1}, 4, 0, 0, 0, 1};
+  v5.resize(14, 0);
+  EXPECT_EQ(DecodeHelloOk(v5).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(NetProtocolTest, EpochPushAckRoundTripsAndRejectsGarbage) {
@@ -396,13 +408,17 @@ TEST_P(NetProtocolReadTest, OversizedLengthPrefixRejectedWithoutReading) {
 }
 
 TEST_P(NetProtocolReadTest, UnknownFrameTypeRejected) {
-  auto [a, b] = StreamPair();
-  FrameSource read = GetParam()(b);
-  const uint8_t header[5] = {0, 0, 0, 0, 0xEE};
-  ASSERT_TRUE(a.SendAll(header).ok());
-  auto frame = read(kMaxIngestFramePayload);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
+  // 4 was DATA_ACK before v6 and stays unassigned.
+  for (const uint8_t type : {uint8_t{4}, uint8_t{0xEE}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    auto [a, b] = StreamPair();
+    FrameSource read = GetParam()(b);
+    const uint8_t header[5] = {0, 0, 0, 0, type};
+    ASSERT_TRUE(a.SendAll(header).ok());
+    auto frame = read(kMaxIngestFramePayload);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.status().code(), StatusCode::kCorruption);
+  }
 }
 
 /// Frame i of the multi-frame cases: a DATA payload of (37·i) % 327 bytes,

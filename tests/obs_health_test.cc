@@ -65,20 +65,24 @@ TEST(ObsHealthTest, WorstRuleWinsAndAllBreachedRulesAreNamed) {
       << verdict.cause;
 }
 
-TEST(ObsHealthTest, ShedAndCorruptRatesNeedTrafficToTrip) {
+TEST(ObsHealthTest, CorruptRateNeedsTrafficToTrip) {
   HealthOptions options;
-  options.shed_rate = 0.01;
+  options.corrupt_rate = 0.01;
   HealthSignals signals;
   // Zero frames: no rate is computable, the rule must not divide by zero
   // or trip on a silent server.
-  signals.shed = 5;
+  signals.corrupt = 5;
   EXPECT_EQ(EvaluateHealth(signals, options).state, HealthState::kOk);
-  // 5% shed over real traffic: degraded.
-  signals.frames = 100;
-  const HealthVerdict verdict = EvaluateHealth(signals, options);
-  EXPECT_EQ(verdict.state, HealthState::kCritical);  // 5% >= 4 * 1%
-  EXPECT_NE(verdict.cause.find("shed_rate"), std::string::npos)
+  // 2% corrupt over real traffic: degraded.
+  signals.frames = 250;
+  HealthVerdict verdict = EvaluateHealth(signals, options);
+  EXPECT_EQ(verdict.state, HealthState::kDegraded);
+  EXPECT_NE(verdict.cause.find("corrupt_rate"), std::string::npos)
       << verdict.cause;
+  // 5%: past 4 x 1%, critical.
+  signals.frames = 100;
+  verdict = EvaluateHealth(signals, options);
+  EXPECT_EQ(verdict.state, HealthState::kCritical);
 }
 
 TEST(ObsHealthTest, StaleStatsPushTripsOnlyWhenArmed) {
@@ -96,7 +100,6 @@ TEST(ObsHealthTest, SignalsFromSnapshotReadsTheSyntheticNetSeries) {
   registry.GetHistogram("ingest_to_queryable_ns")->Record(2000000);  // ~2ms
   MetricsRegistry::Snapshot snapshot = registry.TakeSnapshot();
   snapshot.counters.emplace_back("net_frames_received", 200);
-  snapshot.counters.emplace_back("net_frames_shed", 3);
   snapshot.counters.emplace_back("net_corrupt_frames_rejected", 1);
   snapshot.gauges.emplace_back("net_frontier_epoch", 5);
   snapshot.gauges.emplace_back("net_pending_epochs", 7);
@@ -106,7 +109,6 @@ TEST(ObsHealthTest, SignalsFromSnapshotReadsTheSyntheticNetSeries) {
   // 2ms lands in the (2^20, 2^21] bucket; p99 reads its upper bound.
   EXPECT_NEAR(signals.i2q_p99_ms, 2.097, 0.01);
   EXPECT_EQ(signals.frames, 200u);
-  EXPECT_EQ(signals.shed, 3u);
   EXPECT_EQ(signals.corrupt, 1u);
   EXPECT_EQ(signals.frontier_lag, 7u);  // 12 - 5
   EXPECT_EQ(signals.spool_depth, 7u);

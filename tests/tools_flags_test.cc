@@ -51,5 +51,43 @@ TEST(ToolsFlagsDeathTest, MalformedDoubleExitsTwoNamingTheFlag) {
   }
 }
 
+TEST(ToolsFlagsTest, RangedGettersAcceptTheirRange) {
+  EXPECT_EQ(ParsedWith("rows", "1").GetIntIn("rows", 1), 1);
+  EXPECT_EQ(ParsedWith("rows", "65535").GetIntIn("rows", 1, 65535), 65535);
+  EXPECT_EQ(ParsedWith("rows", "1024").GetPowerOfTwoIn("rows", 2, 1 << 30),
+            1024);
+  EXPECT_EQ(ParsedWith("rows", "2").GetPowerOfTwoIn("rows", 2, 1 << 30), 2);
+  EXPECT_EQ(ParsedWith("alpha", "0.5").GetDoubleIn("alpha", 0.0, 1.0), 0.5);
+  EXPECT_EQ(ParsedWith("alpha", "4").GetDoubleIn("alpha", 0.0), 4.0);
+}
+
+TEST(ToolsFlagsDeathTest, OutOfRangeIntegerExitsTwoNamingFlagAndRange) {
+  EXPECT_EXIT(ParsedWith("rows", "0").GetIntIn("rows", 1),
+              testing::ExitedWithCode(2), "--rows: '0' is not an integer >= 1");
+  EXPECT_EXIT(ParsedWith("rows", "65536").GetIntIn("rows", 1, 65535),
+              testing::ExitedWithCode(2), "rows.*\\[1, 65535\\]");
+  // Malformed still wins over the range check.
+  EXPECT_EXIT(ParsedWith("rows", "-3").GetIntIn("rows", 1),
+              testing::ExitedWithCode(2), "not a non-negative integer");
+}
+
+TEST(ToolsFlagsDeathTest, NonPowerOfTwoExitsTwoNamingFlagAndRange) {
+  for (const char* value : {"1000", "0", "1", "2147483648"}) {
+    EXPECT_EXIT(ParsedWith("rows", value).GetPowerOfTwoIn("rows", 2, 1 << 30),
+                testing::ExitedWithCode(2), "rows.*power of two")
+        << "value '" << value << "'";
+  }
+}
+
+TEST(ToolsFlagsDeathTest, OutOfRangeDoubleExitsTwoNamingFlagAndRange) {
+  for (const char* value : {"0", "-1", "1", "1.5"}) {
+    EXPECT_EXIT(ParsedWith("alpha", value).GetDoubleIn("alpha", 0.0, 1.0),
+                testing::ExitedWithCode(2), "alpha.*\\(0, 1\\)")
+        << "value '" << value << "'";
+  }
+  EXPECT_EXIT(ParsedWith("alpha", "0").GetDoubleIn("alpha", 0.0),
+              testing::ExitedWithCode(2), "alpha.*\\(0, inf\\)");
+}
+
 }  // namespace
 }  // namespace ldpjs::tools

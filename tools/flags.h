@@ -1,6 +1,7 @@
 // Minimal --key=value / --key value flag parser for the CLI tools. Not a
-// general-purpose library: unknown flags and malformed numbers are an error
-// (exit 2), every flag has a default, and --help prints the registered set.
+// general-purpose library: unknown flags, malformed numbers and numbers out
+// of a getter's range are an error (exit 2, naming the flag), every flag
+// has a default, and --help prints the registered set.
 #ifndef LDPJS_TOOLS_FLAGS_H_
 #define LDPJS_TOOLS_FLAGS_H_
 
@@ -10,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -84,6 +86,44 @@ class Flags {
     if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) ||
         *end != '\0' || !std::isfinite(value)) {
       Malformed(name, text, "a finite number");
+    }
+    return value;
+  }
+
+  /// GetInt, restricted to [lo, hi].
+  int64_t GetIntIn(const std::string& name, int64_t lo,
+                   int64_t hi = std::numeric_limits<int64_t>::max()) const {
+    const int64_t value = GetInt(name);
+    if (value < lo || value > hi) {
+      const std::string range =
+          hi == std::numeric_limits<int64_t>::max()
+              ? "an integer >= " + std::to_string(lo)
+              : "an integer in [" + std::to_string(lo) + ", " +
+                    std::to_string(hi) + "]";
+      Malformed(name, values_.at(name), range.c_str());
+    }
+    return value;
+  }
+  /// GetInt, restricted to the powers of two in [lo, hi].
+  int64_t GetPowerOfTwoIn(const std::string& name, int64_t lo,
+                          int64_t hi) const {
+    const int64_t value = GetInt(name);
+    if (value < lo || value > hi || (value & (value - 1)) != 0) {
+      const std::string range = "a power of two in [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "]";
+      Malformed(name, values_.at(name), range.c_str());
+    }
+    return value;
+  }
+  /// GetDouble, restricted to the open interval (lo, hi).
+  double GetDoubleIn(const std::string& name, double lo,
+                     double hi = std::numeric_limits<double>::infinity())
+      const {
+    const double value = GetDouble(name);
+    if (!(value > lo && value < hi)) {
+      char range[64];
+      std::snprintf(range, sizeof(range), "a number in (%g, %g)", lo, hi);
+      Malformed(name, values_.at(name), range);
     }
     return value;
   }

@@ -36,7 +36,7 @@
 // so N senders across regions partition exactly one table.
 //
 // All serving subcommands dump their node's stats JSON on SIGUSR1 and at
-// exit (stdout, plus --metrics-json FILE when set) — shed/corrupt/queue-
+// exit (stdout, plus --metrics-json FILE when set) — frame/corrupt/queue-
 // high-water/per-region counters, the node's registry histograms, and the
 // health/fleet/events sections — and can append the same JSON periodically
 // with --stats-jsonl FILE --stats-period N. `ldpjs_cli stats --port P
@@ -59,6 +59,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -130,21 +131,30 @@ void DefineWorkloadFlags(tools::Flags& flags) {
 
 JoinWorkload WorkloadFromFlags(const tools::Flags& flags) {
   const DatasetId dataset = ParseDataset(flags.GetString("dataset"));
-  const uint64_t rows = static_cast<uint64_t>(flags.GetInt("rows"));
+  const uint64_t rows = static_cast<uint64_t>(flags.GetIntIn("rows", 1));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
   return (dataset == DatasetId::kZipf)
-             ? MakeZipfWorkload(flags.GetDouble("alpha"),
+             ? MakeZipfWorkload(flags.GetDoubleIn("alpha", 0.0),
                                 GetDatasetSpec(dataset).domain, rows, seed)
              : MakeWorkload(dataset, rows, seed);
 }
 
 SketchParams SketchFromFlags(const tools::Flags& flags) {
   SketchParams params;
-  params.k = static_cast<int>(flags.GetInt("k"));
-  params.m = static_cast<int>(flags.GetInt("m"));
+  params.k = static_cast<int>(flags.GetIntIn("k", 1, kMaxSketchRows));
+  params.m =
+      static_cast<int>(flags.GetPowerOfTwoIn("m", 2, kMaxSketchColumns));
   params.seed =
       Mix64(static_cast<uint64_t>(flags.GetInt("seed")) ^ 0x5EEDULL);
   return params;
+}
+
+/// Past ε ≈ 709.78, e^ε overflows a double and the debias factor
+/// c_ε = (e^ε + 1) / (e^ε − 1) turns NaN, and so does every estimate.
+constexpr double kMaxEpsilon = 709.0;
+
+double EpsilonFromFlags(const tools::Flags& flags) {
+  return flags.GetDoubleIn("epsilon", 0.0, kMaxEpsilon);
 }
 
 bool WriteFile(const std::string& path, std::span<const uint8_t> bytes) {
@@ -253,25 +263,11 @@ class MetricsWatcher {
   std::thread poller_;
 };
 
-bool ParseBackpressure(const std::string& policy,
-                       BackpressurePolicy* out) {
-  if (policy == "block") {
-    *out = BackpressurePolicy::kBlock;
-    return true;
-  }
-  if (policy == "shed") {
-    *out = BackpressurePolicy::kShed;
-    return true;
-  }
-  std::fprintf(stderr, "unknown backpressure policy '%s' (block|shed)\n",
-               policy.c_str());
-  return false;
-}
-
 void DefineServerFlags(tools::Flags& flags) {
   flags.Define("shards", "1", "aggregation shards (= ingest pumps)");
-  flags.Define("queue", "64", "per-shard ingest queue capacity");
-  flags.Define("backpressure", "block", "full-queue policy: block|shed");
+  flags.Define("queue", "64",
+               "per-shard ingest queue capacity; a full queue stops "
+               "reading its connection until there is room");
   flags.Define("idle-timeout", "0",
                "reap a client connection silent for this many seconds "
                "(0 = off; regional shippers legitimately idle between "
@@ -296,16 +292,13 @@ MetricsWatcher MakeWatcher(const tools::Flags& flags,
                         static_cast<int>(flags.GetInt("stats-period")));
 }
 
-FrameServerOptions ServerOptionsFromFlags(const tools::Flags& flags,
-                                          bool* ok) {
+FrameServerOptions ServerOptionsFromFlags(const tools::Flags& flags) {
   FrameServerOptions options;
   options.port = static_cast<uint16_t>(flags.GetInt("port"));
   options.num_shards = static_cast<size_t>(flags.GetInt("shards"));
-  options.queue_capacity = static_cast<size_t>(flags.GetInt("queue"));
+  options.queue_capacity = static_cast<size_t>(flags.GetIntIn("queue", 1));
   options.idle_timeout_seconds = static_cast<int>(flags.GetInt("idle-timeout"));
   options.health.i2q_p99_target_ms = flags.GetDouble("slo-i2q-ms");
-  *ok = ParseBackpressure(flags.GetString("backpressure"),
-                          &options.backpressure);
   return options;
 }
 
@@ -320,26 +313,23 @@ int RunServe(int argc, char** argv) {
   flags.Define("out", "", "write the finalized sketch here when done");
   flags.Parse(argc, argv);
 
-  bool policy_ok = false;
-  FrameServerOptions options = ServerOptionsFromFlags(flags, &policy_ok);
-  if (!policy_ok) return 2;
-
+  const FrameServerOptions options = ServerOptionsFromFlags(flags);
   const SketchParams params = SketchFromFlags(flags);
-  FrameServer server(params, flags.GetDouble("epsilon"), options);
+  const double epsilon = EpsilonFromFlags(flags);
+  FrameServer server(params, epsilon, options);
   const Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start server: %s\n",
                  started.ToString().c_str());
     return 1;
   }
-  std::printf("serving LJSP on port %u (k=%d, m=%d, shards=%zu, queue=%zu, "
-              "%s)\n",
+  std::printf("serving LJSP on port %u (k=%d, m=%d, shards=%zu, "
+              "queue=%zu)\n",
               server.port(), params.k, params.m, options.num_shards,
-              options.queue_capacity,
-              flags.GetString("backpressure").c_str());
+              options.queue_capacity);
   std::fflush(stdout);
 
-  LdpJoinSketchServer sketch(params, flags.GetDouble("epsilon"));
+  LdpJoinSketchServer sketch(params, epsilon);
   {
     MetricsWatcher watcher = MakeWatcher(flags, server);
     server.WaitForFinalizeRequest();
@@ -383,10 +373,8 @@ int RunFederateCentral(int argc, char** argv) {
   flags.Define("out", "", "write the finalized sketch here when done");
   flags.Parse(argc, argv);
 
-  bool policy_ok = false;
   CentralNodeOptions options;
-  options.server = ServerOptionsFromFlags(flags, &policy_ok);
-  if (!policy_ok) return 2;
+  options.server = ServerOptionsFromFlags(flags);
   options.finalize_after =
       static_cast<size_t>(flags.GetInt("finalize-after"));
   options.window_epochs = static_cast<uint64_t>(flags.GetInt("window"));
@@ -394,7 +382,8 @@ int RunFederateCentral(int argc, char** argv) {
       static_cast<size_t>(flags.GetInt("window-regions"));
 
   const SketchParams params = SketchFromFlags(flags);
-  CentralNode central(params, flags.GetDouble("epsilon"), options);
+  const double epsilon = EpsilonFromFlags(flags);
+  CentralNode central(params, epsilon, options);
   const Status started = central.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start central: %s\n",
@@ -407,7 +396,7 @@ int RunFederateCentral(int argc, char** argv) {
               options.finalize_after);
   std::fflush(stdout);
 
-  LdpJoinSketchServer sketch(params, flags.GetDouble("epsilon"));
+  LdpJoinSketchServer sketch(params, epsilon);
   {
     MetricsWatcher watcher = MakeWatcher(flags, central.server());
     central.WaitForRegions();
@@ -476,10 +465,8 @@ int RunFederateRegion(int argc, char** argv) {
                "STATS_PUSH) at most every this many ms (0 = off)");
   flags.Parse(argc, argv);
 
-  bool policy_ok = false;
   RegionalNodeOptions options;
-  options.server = ServerOptionsFromFlags(flags, &policy_ok);
-  if (!policy_ok) return 2;
+  options.server = ServerOptionsFromFlags(flags);
   options.region_id = static_cast<uint32_t>(flags.GetInt("region"));
   options.central_host = flags.GetString("central-host");
   options.central_port = static_cast<uint16_t>(flags.GetInt("central-port"));
@@ -493,7 +480,7 @@ int RunFederateRegion(int argc, char** argv) {
   options.stats_push_period_ms = stats_push_ms > 0 ? stats_push_ms : 1000;
 
   const SketchParams params = SketchFromFlags(flags);
-  RegionalNode region(params, flags.GetDouble("epsilon"), options);
+  RegionalNode region(params, EpsilonFromFlags(flags), options);
   const Status started = region.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start region: %s\n",
@@ -584,7 +571,7 @@ int RunSend(int argc, char** argv) {
   const JoinWorkload workload = WorkloadFromFlags(flags);
   const Column& column = table == "a" ? workload.table_a : workload.table_b;
   const SketchParams params = SketchFromFlags(flags);
-  const double epsilon = flags.GetDouble("epsilon");
+  const double epsilon = EpsilonFromFlags(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
   const uint64_t trial = static_cast<uint64_t>(flags.GetInt("trial"));
   // The exact derivation chain of experiment mode: per-trial run seed, then
@@ -645,13 +632,12 @@ int RunSend(int argc, char** argv) {
     return 1;
   }
   std::printf("streamed table %s (slice %llu/%llu): %llu frames, %llu "
-              "bytes, %llu reports (%llu busy retries)\n",
+              "bytes, %llu reports\n",
               table.c_str(), static_cast<unsigned long long>(sender_index),
               static_cast<unsigned long long>(senders),
               static_cast<unsigned long long>(sender->frames_sent()),
               static_cast<unsigned long long>(sender->bytes_sent()),
-              static_cast<unsigned long long>(sent_reports),
-              static_cast<unsigned long long>(sender->busy_retries()));
+              static_cast<unsigned long long>(sent_reports));
   return 0;
 }
 
@@ -693,7 +679,7 @@ int RunEstimate(int argc, char** argv) {
 
   if (flags.GetInt("check") != 0) {
     JoinMethodConfig config;
-    config.epsilon = flags.GetDouble("epsilon");
+    config.epsilon = EpsilonFromFlags(flags);
     config.sketch = SketchFromFlags(flags);
     config.run_seed =
         TrialRunSeed(static_cast<uint64_t>(flags.GetInt("seed")), 0);
@@ -778,7 +764,7 @@ int RunQuery(int argc, char** argv) {
   request.range_hi = static_cast<uint64_t>(flags.GetInt("hi"));
 
   const SketchParams params = SketchFromFlags(flags);
-  const double epsilon = flags.GetDouble("epsilon");
+  const double epsilon = EpsilonFromFlags(flags);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
   const uint64_t trial = static_cast<uint64_t>(flags.GetInt("trial"));
 
@@ -796,7 +782,8 @@ int RunQuery(int argc, char** argv) {
       // Chain layout: view (left end, hashed on params.seed) ⋈ middle ⋈
       // probe. The middle's left side shares the view's hashes; its right
       // side and the probe share a derived seed.
-      const int mid_m = static_cast<int>(flags.GetInt("mid-m"));
+      const int mid_m = static_cast<int>(
+          flags.GetPowerOfTwoIn("mid-m", 2, kMaxSketchColumns));
       MultiwayParams middle_params;
       middle_params.k = params.k;
       middle_params.m_left = params.m;
@@ -955,7 +942,7 @@ int RunStats(int argc, char** argv) {
   flags.Parse(argc, argv);
 
   const SketchParams params = SketchFromFlags(flags);
-  const double epsilon = flags.GetDouble("epsilon");
+  const double epsilon = EpsilonFromFlags(flags);
   const std::string host = flags.GetString("host");
   const uint16_t port = static_cast<uint16_t>(flags.GetInt("port"));
   const int watch = static_cast<int>(flags.GetInt("watch"));
@@ -1063,16 +1050,16 @@ void RenderFleetView(const FleetView& view, const std::string& target) {
   if (!view.cluster.cause.empty()) {
     std::printf("  cause: %s\n", view.cluster.cause.c_str());
   }
-  std::printf("%-8s %-9s %9s %8s %10s %10s %12s %8s %8s\n", "REGION",
-              "STATE", "FRONTIER", "PENDING", "I2Q-P50", "I2Q-P99",
-              "SHIP-RTT-P99", "SHED", "AGE");
+  std::printf("%-8s %-9s %9s %8s %10s %10s %12s %8s\n", "REGION", "STATE",
+              "FRONTIER", "PENDING", "I2Q-P50", "I2Q-P99", "SHIP-RTT-P99",
+              "AGE");
   for (const FleetRegionView& region : view.regions) {
     const MetricsRegistry::Snapshot& stats = region.snapshot.stats;
     const HistogramSnapshot i2q =
         SeriesValue(stats.histograms, "ingest_to_queryable_ns");
     const HistogramSnapshot rtt = SeriesValue(stats.histograms, "ship_rtt_ns");
     std::printf(
-        "%-8u %-9s %9llu %8llu %10s %10s %12s %8llu %8s\n",
+        "%-8u %-9s %9llu %8llu %10s %10s %12s %8s\n",
         region.snapshot.region_id,
         std::string(HealthStateName(region.health.state)).c_str(),
         static_cast<unsigned long long>(
@@ -1082,8 +1069,6 @@ void RenderFleetView(const FleetView& view, const std::string& target) {
         FormatNanos(i2q.Percentile(0.50)).c_str(),
         FormatNanos(i2q.Percentile(0.99)).c_str(),
         FormatNanos(rtt.Percentile(0.99)).c_str(),
-        static_cast<unsigned long long>(
-            SeriesValue(stats.counters, "net_frames_shed")),
         FormatNanos(static_cast<double>(region.age_ns)).c_str());
   }
   const HistogramSnapshot merged_i2q =
@@ -1114,7 +1099,7 @@ int RunTop(int argc, char** argv) {
   flags.Parse(argc, argv);
 
   const SketchParams params = SketchFromFlags(flags);
-  const double epsilon = flags.GetDouble("epsilon");
+  const double epsilon = EpsilonFromFlags(flags);
   const std::string host = flags.GetString("host");
   const uint16_t port = static_cast<uint16_t>(flags.GetInt("port"));
   const std::string target = host + ":" + std::to_string(port);
@@ -1200,10 +1185,11 @@ int RunChaos(int argc, char** argv) {
   flags.Parse(argc, argv);
 
   ChaosScenarioOptions options;
-  options.params.k = static_cast<int>(flags.GetInt("k"));
-  options.params.m = static_cast<int>(flags.GetInt("m"));
+  options.params.k = static_cast<int>(flags.GetIntIn("k", 1, kMaxSketchRows));
+  options.params.m =
+      static_cast<int>(flags.GetPowerOfTwoIn("m", 2, kMaxSketchColumns));
   options.params.seed = 21;
-  options.epsilon = flags.GetDouble("epsilon");
+  options.epsilon = EpsilonFromFlags(flags);
   options.fault_rate = flags.GetDouble("fault-rate");
   options.max_faults = static_cast<uint64_t>(flags.GetInt("max-faults"));
   options.num_regions = static_cast<size_t>(flags.GetInt("regions"));
@@ -1277,21 +1263,29 @@ int RunExperiment(int argc, char** argv) {
   flags.Parse(argc, argv);
 
   const JoinMethod method = ParseMethod(flags.GetString("method"));
-  const uint64_t rows = static_cast<uint64_t>(flags.GetInt("rows"));
+  const uint64_t rows = static_cast<uint64_t>(flags.GetIntIn("rows", 1));
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed"));
+
+  // Every value is checked before the workload is built, so a bad one
+  // exits 2 at once instead of after seconds of data generation.
+  JoinMethodConfig config;
+  config.epsilon = EpsilonFromFlags(flags);
+  config.sketch = SketchFromFlags(flags);
+  if (method == JoinMethod::kLdpJoinSketchPlus) {
+    config.plus_sample_rate = flags.GetDoubleIn("sample-rate", 0.0, 1.0);
+  }
+  config.plus_threshold = flags.GetDouble("threshold");
+  if (method == JoinMethod::kFlh) {
+    config.flh_pool_size = static_cast<uint32_t>(
+        flags.GetIntIn("flh-pool", 1, std::numeric_limits<uint32_t>::max()));
+  }
+  config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
+  const int trials = static_cast<int>(
+      flags.GetIntIn("trials", 1, std::numeric_limits<int>::max()));
 
   const JoinWorkload workload = WorkloadFromFlags(flags);
   const double truth = ExactJoinSize(workload.table_a, workload.table_b);
 
-  JoinMethodConfig config;
-  config.epsilon = flags.GetDouble("epsilon");
-  config.sketch = SketchFromFlags(flags);
-  config.plus_sample_rate = flags.GetDouble("sample-rate");
-  config.plus_threshold = flags.GetDouble("threshold");
-  config.flh_pool_size = static_cast<uint32_t>(flags.GetInt("flh-pool"));
-  config.num_threads = static_cast<size_t>(flags.GetInt("threads"));
-
-  const int trials = static_cast<int>(flags.GetInt("trials"));
   RunningStats estimates, res, offline, online;
   double comm_bits = 0;
   for (int t = 0; t < trials; ++t) {
