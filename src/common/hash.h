@@ -8,9 +8,21 @@
 //
 // TabulationHash is provided as a fast 3-wise-independent alternative used by
 // the OLH/FLH baselines where full 4-wise independence is not required.
+//
+// Domain-wide queries (the LDPJoinSketch+ phase-1 scan, range estimates)
+// hash runs of consecutive keys. RowHashes::ForEachInRun evaluates a row's
+// (bucket, sign) over such a run for a fraction of the per-key cost, and
+// returns exactly the per-key values:
+//   - Window property: keys in one 256-aligned window share bytes 1-7, so
+//     their tabulation bucket hash is T0[low byte] ^ H, one table read per
+//     key, with H computed once per window.
+//   - Forward differences: consecutive keys have consecutive residues mod
+//     p (also across multiples of p), so the sign cubic steps from one key
+//     to the next by three modular additions and no multiply.
 #ifndef LDPJS_COMMON_HASH_H_
 #define LDPJS_COMMON_HASH_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -21,6 +33,9 @@ namespace ldpjs {
 
 /// The Mersenne prime 2^61 - 1 used as the field modulus.
 inline constexpr uint64_t kMersenne61 = (1ULL << 61) - 1;
+
+/// Keys per tabulation window: the aligned keys that share bytes 1-7.
+inline constexpr uint64_t kTabulationWindowKeys = 256;
 
 namespace internal {
 
@@ -39,6 +54,11 @@ inline uint64_t AddMod61(uint64_t a, uint64_t b) {
   uint64_t s = a + b;
   if (s >= kMersenne61) s -= kMersenne61;
   return s;
+}
+
+/// (a - b) mod (2^61 - 1); requires a, b < 2^61 - 1.
+inline uint64_t SubMod61(uint64_t a, uint64_t b) {
+  return a >= b ? a - b : a + kMersenne61 - b;
 }
 
 /// Lazy Mersenne fold: for v < 2^124 returns a value ≡ v (mod 2^61 - 1)
@@ -137,6 +157,18 @@ class BucketHash {
   uint64_t num_buckets() const { return m_; }
 
  private:
+  friend struct RowHashes;
+
+  /// XOR of the table entries for bytes 1-7 of x: the part of the hash that
+  /// every key in x's 256-aligned window shares.
+  uint32_t WindowHigh(uint64_t x) const {
+    uint32_t h = 0;
+    for (size_t byte = 1; byte < 8; ++byte) {
+      h ^= tables_[byte][(x >> (8 * byte)) & 0xff];
+    }
+    return h;
+  }
+
   std::array<std::array<uint32_t, 256>, 8> tables_;
   uint64_t m_;
 };
@@ -165,6 +197,20 @@ class SignHash {
   }
 
  private:
+  friend struct RowHashes;
+
+  /// The polynomial's canonical residue at x, by Horner's rule over
+  /// canonical operands: the value whose bit 30 operator() returns.
+  uint64_t Residue(uint64_t x) const {
+    uint64_t xr = (x & kMersenne61) + (x >> 61);
+    if (xr >= kMersenne61) xr -= kMersenne61;
+    uint64_t acc = c_[0];
+    for (size_t i = 1; i < c_.size(); ++i) {
+      acc = internal::AddMod61(internal::MulMod61(acc, xr), c_[i]);
+    }
+    return acc;
+  }
+
   std::array<uint64_t, 4> c_;  // degree-3 polynomial, leading first
 };
 
@@ -172,6 +218,52 @@ class SignHash {
 struct RowHashes {
   BucketHash bucket;
   SignHash sign;
+
+  /// Calls visit(i, bucket(first + i), sign(first + i)) for i = 0, ..., n-1
+  /// in ascending order, with exactly the values of the per-key calls (see
+  /// the file comment for how a run shares work). The last key, first + n -
+  /// 1, must not pass UINT64_MAX. A run of fewer than 4 keys, too short to
+  /// seed the forward differences, evaluates each key directly.
+  template <typename Visit>
+  void ForEachInRun(uint64_t first, uint64_t n, const Visit& visit) const {
+    if (n < 4) {
+      for (uint64_t i = 0; i < n; ++i) {
+        visit(i, bucket(first + i), sign(first + i));
+      }
+      return;
+    }
+    using internal::AddMod61;
+    using internal::SubMod61;
+    // p(x0 + i) for i = 0..3, then its first, second and third differences.
+    const uint64_t p0 = sign.Residue(first);
+    const uint64_t p1 = sign.Residue(first + 1);
+    const uint64_t p2 = sign.Residue(first + 2);
+    const uint64_t p3 = sign.Residue(first + 3);
+    const uint64_t e1 = SubMod61(p1, p0);
+    const uint64_t e2 = SubMod61(p2, p1);
+    const uint64_t f1 = SubMod61(e2, e1);
+    const uint64_t d3 = SubMod61(SubMod61(SubMod61(p3, p2), e2), f1);
+    uint64_t value = p0;
+    uint64_t d1 = e1;
+    uint64_t d2 = f1;
+    const auto& low = bucket.tables_[0];
+    for (uint64_t i = 0; i < n;) {
+      const uint64_t key = first + i;
+      const uint64_t window_end = std::min(
+          n, i + (kTabulationWindowKeys - key % kTabulationWindowKeys));
+      const uint32_t high = bucket.WindowHigh(key);
+      for (; i < window_end; ++i) {
+        const uint32_t h = low[(first + i) & 0xff] ^ high;
+        // sign(): +1 when bit 30 is set, else -1, computed without a
+        // branch (a random sign mispredicts half the time).
+        visit(i, (static_cast<uint64_t>(h) * bucket.m_) >> 32,
+              static_cast<int>((value >> 29) & 2) - 1);
+        value = AddMod61(value, d1);
+        d1 = AddMod61(d1, d2);
+        d2 = AddMod61(d2, d3);
+      }
+    }
+  }
 };
 
 /// Builds the k per-row hash pairs {(h_0, ξ_0), ..., (h_{k-1}, ξ_{k-1})}

@@ -1,5 +1,7 @@
 #include "core/aqp.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace ldpjs {
@@ -11,14 +13,28 @@ void ValidateRange(const LdpJoinSketchServer& sketch,
   LDPJS_CHECK(range.lo <= range.hi);
 }
 
-/// Calls visit(d) for d = lo, lo + 1, ..., hi in ascending order. The loop
-/// stops after visiting hi instead of testing d <= hi, which never fails
-/// when hi == UINT64_MAX (d wraps to 0).
-template <typename Visit>
-void ForEachValue(const ValueRange& range, const Visit& visit) {
-  for (uint64_t d = range.lo;; ++d) {
-    visit(d);
-    if (d == range.hi) return;
+/// Calls visit(d, f) for d = lo, lo + 1, ..., hi in ascending order, where
+/// f[s] is sketches[s]'s f̂(d). The range is cut into runs that end at
+/// 256-aligned window boundaries, each evaluated by FrequencyEstimateRun
+/// into stack buffers. The walk stops after the run that ends at hi instead
+/// of testing a key against hi, which never fails when hi == UINT64_MAX.
+template <size_t N, typename Visit>
+void ForEachEstimate(const std::array<const LdpJoinSketchServer*, N>& sketches,
+                     const ValueRange& range, const Visit& visit) {
+  std::array<std::array<double, kEstimateRunKeys>, N> f;
+  std::array<double*, N> out;
+  for (size_t s = 0; s < N; ++s) out[s] = f[s].data();
+  for (uint64_t from = range.lo;;) {
+    const uint64_t last = std::min(from | (kEstimateRunKeys - 1), range.hi);
+    const uint64_t n = last - from + 1;
+    FrequencyEstimateRun<N>(sketches, from, n, out);
+    for (uint64_t i = 0; i < n; ++i) {
+      std::array<double, N> estimates;
+      for (size_t s = 0; s < N; ++s) estimates[s] = f[s][i];
+      visit(from + i, estimates);
+    }
+    if (last == range.hi) return;
+    from = last + 1;
   }
 }
 }  // namespace
@@ -27,8 +43,10 @@ double RangeCountEstimate(const LdpJoinSketchServer& sketch,
                           const ValueRange& range) {
   ValidateRange(sketch, range);
   double total = 0.0;
-  ForEachValue(range,
-               [&](uint64_t d) { total += sketch.FrequencyEstimate(d); });
+  ForEachEstimate<1>({&sketch}, range,
+                     [&](uint64_t, const std::array<double, 1>& f) {
+                       total += f[0];
+                     });
   return total;
 }
 
@@ -37,9 +55,10 @@ double RangeWeightedSumEstimate(
     const std::function<double(uint64_t)>& weight) {
   ValidateRange(sketch, range);
   double total = 0.0;
-  ForEachValue(range, [&](uint64_t d) {
-    total += weight(d) * sketch.FrequencyEstimate(d);
-  });
+  ForEachEstimate<1>({&sketch}, range,
+                     [&](uint64_t d, const std::array<double, 1>& f) {
+                       total += weight(d) * f[0];
+                     });
   return total;
 }
 
@@ -48,11 +67,11 @@ double PredicateJoinEstimate(const LdpJoinSketchServer& sketch_a,
                              const ValueRange& range) {
   ValidateRange(sketch_a, range);
   ValidateRange(sketch_b, range);
-  LDPJS_CHECK(sketch_a.params().seed == sketch_b.params().seed);
   double total = 0.0;
-  ForEachValue(range, [&](uint64_t d) {
-    total += sketch_a.FrequencyEstimate(d) * sketch_b.FrequencyEstimate(d);
-  });
+  ForEachEstimate<2>({&sketch_a, &sketch_b}, range,
+                     [&](uint64_t, const std::array<double, 2>& f) {
+                       total += f[0] * f[1];
+                     });
   return total;
 }
 
@@ -60,9 +79,10 @@ uint64_t SupportSizeEstimate(const LdpJoinSketchServer& sketch,
                              const ValueRange& range, double floor) {
   ValidateRange(sketch, range);
   uint64_t support = 0;
-  ForEachValue(range, [&](uint64_t d) {
-    if (sketch.FrequencyEstimate(d) > floor) ++support;
-  });
+  ForEachEstimate<1>({&sketch}, range,
+                     [&](uint64_t, const std::array<double, 1>& f) {
+                       if (f[0] > floor) ++support;
+                     });
   return support;
 }
 

@@ -13,6 +13,11 @@
 // range (like the frequency-oracle baselines do over the whole domain), so
 // they are most accurate for selective predicates; the unrestricted join
 // should always use LdpJoinSketchServer::JoinEstimate.
+//
+// Each estimator evaluates f̂ over its range with FrequencyEstimateRun, one
+// 256-key window at a time, then combines the values in ascending key
+// order: every answer is bit-identical to the same sum over per-key
+// FrequencyEstimate calls.
 #ifndef LDPJS_CORE_AQP_H_
 #define LDPJS_CORE_AQP_H_
 
@@ -37,13 +42,15 @@ struct ValueRange {
 double RangeCountEstimate(const LdpJoinSketchServer& sketch,
                           const ValueRange& range);
 
-/// Estimated SUM(weight(A)) WHERE A in range for a public per-value weight.
+/// Estimated SUM(weight(A)) WHERE A in range for a public per-value weight,
+/// which is called once per key in ascending order.
 double RangeWeightedSumEstimate(const LdpJoinSketchServer& sketch,
                                 const ValueRange& range,
                                 const std::function<double(uint64_t)>& weight);
 
 /// Estimated join size restricted to keys in the range:
-/// Σ_{d in range} f̂_A(d) · f̂_B(d). Sketches must share params.
+/// Σ_{d in range} f̂_A(d) · f̂_B(d). The sketches must share k, m and the
+/// hash seed, so each row's hashes serve both.
 double PredicateJoinEstimate(const LdpJoinSketchServer& sketch_a,
                              const LdpJoinSketchServer& sketch_b,
                              const ValueRange& range);

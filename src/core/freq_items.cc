@@ -1,6 +1,7 @@
 #include "core/freq_items.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/thread_pool.h"
 
@@ -29,93 +30,73 @@ namespace {
 
 static_assert(kFrequentScanBlock % 64 == 0,
               "a scan block must own whole bitset words");
+static_assert(kFrequentScanBlock % kEstimateRunKeys == 0,
+              "a scan block must hold whole estimate runs");
 
-/// Clamped f̂ sums over the FI keys of one scan block.
-struct BlockMass {
-  double a = 0.0;
-  double b = 0.0;
-};
-
-/// Walks [0, domain) in kFrequentScanBlock-key blocks on the shared pool;
-/// `visit(d, mass)` says whether d is frequent and may add d's estimates to
-/// its block's `mass`. Blocks own disjoint bitset words, each block sums in
-/// ascending key order and the block masses are added in block order, so
-/// the result does not depend on the worker count.
-template <typename Visit>
-FrequentItemsScan ScanDomain(uint64_t domain, size_t work,
-                             const Visit& visit) {
+/// The FI set over [0, domain) of N sketches and the clamped f̂ mass of
+/// each: key d is frequent when f̂_s(d) > thresholds[s] for some s, and then
+/// adds max(0, f̂_s(d)) to mass s. The domain is walked in
+/// kFrequentScanBlock-key blocks on the shared pool, a block in
+/// kEstimateRunKeys-key runs through FrequencyEstimateRun. Blocks own
+/// disjoint bitset words, each block sums in ascending key order and the
+/// block masses are added in block order, so the result does not depend on
+/// the worker count.
+template <size_t N>
+FrequentItemsScan ScanDomain(
+    const std::array<const LdpJoinSketchServer*, N>& sketches,
+    const std::array<double, N>& thresholds, uint64_t domain) {
   std::vector<uint64_t> words(FrequentItems::WordCount(domain), 0);
   const size_t blocks = static_cast<size_t>(
       (domain + kFrequentScanBlock - 1) / kFrequentScanBlock);
-  std::vector<BlockMass> masses(blocks);
+  std::vector<std::array<double, N>> masses(blocks);
+  const size_t work = static_cast<size_t>(domain) *
+                      static_cast<size_t>(sketches[0]->params().k) * N;
   SharedParallelFor(blocks, work, [&](size_t, size_t begin, size_t end) {
+    std::array<std::array<double, kEstimateRunKeys>, N> f;
+    std::array<double*, N> out;
+    for (size_t s = 0; s < N; ++s) out[s] = f[s].data();
     for (size_t block = begin; block < end; ++block) {
-      const uint64_t first = block * kFrequentScanBlock;
-      const uint64_t last = std::min(domain, first + kFrequentScanBlock);
-      for (uint64_t d = first; d < last; ++d) {
-        if (visit(d, masses[block])) words[d >> 6] |= uint64_t{1} << (d & 63);
+      const uint64_t last = std::min(domain, (block + 1) * kFrequentScanBlock);
+      std::array<double, N>& mass = masses[block];
+      for (uint64_t run = block * kFrequentScanBlock; run < last;
+           run += kEstimateRunKeys) {
+        const uint64_t n = std::min(kEstimateRunKeys, last - run);
+        FrequencyEstimateRun<N>(sketches, run, n, out);
+        for (uint64_t i = 0; i < n; ++i) {
+          bool frequent = false;
+          for (size_t s = 0; s < N; ++s) {
+            frequent = frequent || f[s][i] > thresholds[s];
+          }
+          if (!frequent) continue;
+          const uint64_t d = run + i;
+          words[d >> 6] |= uint64_t{1} << (d & 63);
+          for (size_t s = 0; s < N; ++s) mass[s] += std::max(0.0, f[s][i]);
+        }
       }
     }
   });
   FrequentItemsScan scan;
   scan.items = FrequentItems(domain, std::move(words));
-  for (const BlockMass& mass : masses) {
-    scan.mass_a += mass.a;
-    scan.mass_b += mass.b;
+  for (const std::array<double, N>& mass : masses) {
+    scan.mass_a += mass[0];
+    if constexpr (N == 2) scan.mass_b += mass[1];
   }
   return scan;
-}
-
-size_t ScanWork(const LdpJoinSketchServer& sketch, uint64_t domain) {
-  return static_cast<size_t>(domain) * static_cast<size_t>(sketch.params().k);
 }
 
 }  // namespace
 
 FrequentItems FindFrequentItems(const LdpJoinSketchServer& sketch,
                                 uint64_t domain, double threshold) {
-  return ScanDomain(domain, ScanWork(sketch, domain),
-                    [&](uint64_t d, BlockMass&) {
-                      return sketch.FrequencyEstimate(d) > threshold;
-                    })
-      .items;
+  return ScanDomain<1>({&sketch}, {threshold}, domain).items;
 }
 
 FrequentItemsScan FindFrequentItemsUnion(const LdpJoinSketchServer& sketch_a,
                                          const LdpJoinSketchServer& sketch_b,
                                          uint64_t domain, double threshold_a,
                                          double threshold_b) {
-  LDPJS_CHECK(sketch_a.finalized() && sketch_b.finalized());
-  const SketchParams& params = sketch_a.params();
-  LDPJS_CHECK(params.k == sketch_b.params().k &&
-              params.m == sketch_b.params().m &&
-              params.seed == sketch_b.params().seed);
-  // Equal (k, m, seed) means equal hash rows, so each row's (bucket, sign)
-  // serves both sketches.
-  const std::vector<RowHashes>& rows = sketch_a.row_hashes();
-  const int k = params.k;
-  return ScanDomain(
-      domain, ScanWork(sketch_a, domain) + ScanWork(sketch_b, domain),
-      [&](uint64_t d, BlockMass& mass) {
-        // FrequencyEstimate's sum, term for term, for both sketches.
-        double acc_a = 0.0;
-        double acc_b = 0.0;
-        for (int j = 0; j < k; ++j) {
-          const RowHashes& row = rows[static_cast<size_t>(j)];
-          const int bucket = static_cast<int>(row.bucket(d));
-          const int sign = row.sign(d);
-          acc_a += sketch_a.cell(j, bucket) * sign;
-          acc_b += sketch_b.cell(j, bucket) * sign;
-        }
-        const double f_a = acc_a / static_cast<double>(k);
-        const double f_b = acc_b / static_cast<double>(k);
-        const bool frequent = f_a > threshold_a || f_b > threshold_b;
-        if (frequent) {
-          mass.a += std::max(0.0, f_a);
-          mass.b += std::max(0.0, f_b);
-        }
-        return frequent;
-      });
+  return ScanDomain<2>({&sketch_a, &sketch_b}, {threshold_a, threshold_b},
+                       domain);
 }
 
 }  // namespace ldpjs

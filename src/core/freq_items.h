@@ -6,12 +6,16 @@
 // The FI set is a dense bitset over the domain (FrequentItems): on skewed
 // data with a small θ it can hold a large share of the domain, and phase 2
 // probes it once per report, so membership is one bit test. The union scan
-// does all of phase 1's server-side work in one pass over the domain: each
-// key's row hashes are evaluated once for both sketches, its FI bit is set,
-// and its clamped estimates join the FI mass. The pass runs on the shared
-// pool in fixed blocks of kFrequentScanBlock keys; the mass is summed in
+// does all of phase 1's server-side work in one pass over the domain. The
+// pass runs on the shared pool in fixed blocks of kFrequentScanBlock keys,
+// and a block in 256-key runs: FrequencyEstimateRun evaluates a run's f̂
+// for both sketches, each row hashed once per run for the two of them
+// (RowHashes::ForEachInRun), and then each key of the run, in ascending
+// order, sets its FI bit and adds its clamped estimates to the FI mass.
+// Every f̂ is bit-identical to FrequencyEstimate's. The mass is summed in
 // ascending key order within a block and the block sums are added in block
-// order, so it does not depend on the worker count.
+// order, so it does not depend on the worker count. FindFrequentItems is
+// the same scan over one sketch.
 #ifndef LDPJS_CORE_FREQ_ITEMS_H_
 #define LDPJS_CORE_FREQ_ITEMS_H_
 

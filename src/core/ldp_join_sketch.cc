@@ -43,7 +43,7 @@ void SubLanes(int64_t* __restrict dst, const int64_t* __restrict src,
 }  // namespace
 
 double DebiasFactor(double epsilon) {
-  LDPJS_CHECK(epsilon > 0.0);
+  LDPJS_CHECK(ValidEpsilon(epsilon));
   const double e = std::exp(epsilon);
   return (e + 1.0) / (e - 1.0);
 }
@@ -140,7 +140,7 @@ LdpJoinSketchClient::LdpJoinSketchClient(const SketchParams& params,
                                          double epsilon)
     : params_(params), epsilon_(epsilon) {
   params_.Validate();
-  LDPJS_CHECK(epsilon > 0.0);
+  LDPJS_CHECK(ValidEpsilon(epsilon));
   flip_prob_ = 1.0 / (std::exp(epsilon) + 1.0);
   flip_threshold_ = BernoulliThreshold(flip_prob_);
   m_log2_ = std::countr_zero(static_cast<uint64_t>(params.m));
@@ -314,6 +314,54 @@ double LdpJoinSketchServer::FrequencyEstimate(uint64_t d) const {
   return acc / static_cast<double>(params_.k);
 }
 
+template <size_t N>
+void FrequencyEstimateRun(
+    const std::array<const LdpJoinSketchServer*, N>& sketches, uint64_t first,
+    uint64_t n, const std::array<double*, N>& out) {
+  const LdpJoinSketchServer& lead = *sketches[0];
+  const SketchParams& params = lead.params_;
+  for (const LdpJoinSketchServer* sketch : sketches) {
+    LDPJS_CHECK(sketch->finalized_);
+    LDPJS_CHECK(sketch->params_.k == params.k &&
+                sketch->params_.m == params.m &&
+                sketch->params_.seed == params.seed);
+  }
+  LDPJS_CHECK(n == 0 || n - 1 <= UINT64_MAX - first);
+  const double k = static_cast<double>(params.k);
+  const size_t m = static_cast<size_t>(params.m);
+  for (uint64_t done = 0; done < n;) {
+    const uint64_t key = first + done;
+    const uint64_t len =
+        std::min(n - done, kEstimateRunKeys - key % kEstimateRunKeys);
+    std::array<double*, N> acc;
+    for (size_t s = 0; s < N; ++s) {
+      acc[s] = out[s] + done;
+      std::fill(acc[s], acc[s] + len, 0.0);
+    }
+    for (size_t j = 0; j < static_cast<size_t>(params.k); ++j) {
+      std::array<const double*, N> row;
+      for (size_t s = 0; s < N; ++s) {
+        row[s] = sketches[s]->cells_.data() + j * m;
+      }
+      lead.rows_[j].ForEachInRun(
+          key, len, [&](uint64_t i, uint64_t bucket, int sign) {
+            for (size_t s = 0; s < N; ++s) acc[s][i] += row[s][bucket] * sign;
+          });
+    }
+    for (size_t s = 0; s < N; ++s) {
+      for (uint64_t i = 0; i < len; ++i) acc[s][i] /= k;
+    }
+    done += len;
+  }
+}
+
+template void FrequencyEstimateRun<1>(
+    const std::array<const LdpJoinSketchServer*, 1>&, uint64_t, uint64_t,
+    const std::array<double*, 1>&);
+template void FrequencyEstimateRun<2>(
+    const std::array<const LdpJoinSketchServer*, 2>&, uint64_t, uint64_t,
+    const std::array<double*, 2>&);
+
 std::vector<double> LdpJoinSketchServer::EstimateAllFrequencies(
     uint64_t domain) const {
   LDPJS_CHECK(finalized_);
@@ -322,9 +370,8 @@ std::vector<double> LdpJoinSketchServer::EstimateAllFrequencies(
                     static_cast<size_t>(domain) *
                         static_cast<size_t>(params_.k),
                     [&](size_t, size_t begin, size_t end) {
-                      for (size_t d = begin; d < end; ++d) {
-                        out[d] = FrequencyEstimate(static_cast<uint64_t>(d));
-                      }
+                      FrequencyEstimateRun<1>({this}, begin, end - begin,
+                                              {out.data() + begin});
                     });
   return out;
 }
@@ -386,7 +433,7 @@ Result<LdpJoinSketchServer> LdpJoinSketchServer::Deserialize(
       *m > static_cast<uint32_t>(kMaxSketchColumns) || !IsPowerOfTwo(*m)) {
     return Status::Corruption("invalid sketch shape");
   }
-  if (!(*epsilon > 0.0)) return Status::Corruption("invalid epsilon");
+  if (!ValidEpsilon(*epsilon)) return Status::Corruption("invalid epsilon");
   const size_t expected_cells =
       static_cast<size_t>(*k) * static_cast<size_t>(*m);
   SketchParams params;

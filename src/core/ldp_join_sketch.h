@@ -13,6 +13,12 @@
 // sketch in expectation (Theorem 2), so the join size is the median row
 // inner product (Eq. 5) and frequencies follow Theorem 7.
 //
+// Domain-wide f̂ (Theorem 7 at every key of a range or of the whole domain)
+// goes through one kernel, FrequencyEstimateRun: rows outside, the run's
+// keys inside, each row hashed once per run with RowHashes::ForEachInRun,
+// and each key's rows added in FrequencyEstimate's order, so every f̂ is
+// bit-identical to a point query's.
+//
 // Deferred-debias invariant: Algorithm 2 writes k·c_ε·y into cell (j, l)
 // per report, but k·c_ε is a constant, so ingestion stores only the raw
 // ±1 vote balance per cell as an int64_t "lane". Absorb/AbsorbBatch/Merge
@@ -24,6 +30,7 @@
 #ifndef LDPJS_CORE_LDP_JOIN_SKETCH_H_
 #define LDPJS_CORE_LDP_JOIN_SKETCH_H_
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -79,7 +86,8 @@ Result<size_t> DecodeReportBatch(BinaryReader& reader,
 
 class LdpJoinSketchClient {
  public:
-  /// `params.seed` must match the server's; epsilon > 0 is the LDP budget.
+  /// `params.seed` must match the server's; epsilon is the LDP budget, in
+  /// (0, kMaxEpsilon].
   LdpJoinSketchClient(const SketchParams& params, double epsilon);
 
   /// The three randomized decisions of Algorithm 1: row j ~ U[k],
@@ -149,7 +157,8 @@ class LdpJoinSketchClient {
 
 class LdpJoinSketchServer {
  public:
-  /// Must be constructed with the clients' params and epsilon.
+  /// Must be constructed with the clients' params and epsilon, which must be
+  /// in (0, kMaxEpsilon].
   LdpJoinSketchServer(const SketchParams& params, double epsilon);
 
   /// Adds one client report: lane[j, l] += y. Invalid after Finalize.
@@ -199,8 +208,9 @@ class LdpJoinSketchServer {
   /// Theorem 7: f̂(d) = mean_j M[j, h_j(d)]·ξ_j(d). Unbiased.
   double FrequencyEstimate(uint64_t d) const;
 
-  /// Frequencies for every value in [0, domain). O(domain·k), sharded
-  /// across the process thread pool for large domains.
+  /// Frequencies for every value in [0, domain), bit-identical to
+  /// FrequencyEstimate: FrequencyEstimateRun over shards of the domain on
+  /// the process thread pool.
   std::vector<double> EstimateAllFrequencies(uint64_t domain) const;
 
   /// Subtracts `total_mass / m` from every cell — removes the expected
@@ -245,6 +255,11 @@ class LdpJoinSketchServer {
       std::span<const uint8_t> bytes);
 
  private:
+  template <size_t N>
+  friend void FrequencyEstimateRun(
+      const std::array<const LdpJoinSketchServer*, N>& sketches,
+      uint64_t first, uint64_t n, const std::array<double*, N>& out);
+
   SketchParams params_;
   double epsilon_;
   double c_eps_;
@@ -254,6 +269,23 @@ class LdpJoinSketchServer {
   std::vector<int64_t> lanes_;  // row-major k x m; raw votes until Finalize
   std::vector<double> cells_;   // row-major k x m; populated by Finalize
 };
+
+/// Keys per window of FrequencyEstimateRun: one tabulation window, so a
+/// caller's per-run buffers are stack arrays of this size.
+inline constexpr uint64_t kEstimateRunKeys = kTabulationWindowKeys;
+
+/// Theorem 7's f̂ at the n consecutive keys first, ..., first + n - 1 for N
+/// finalized sketches sharing k, m and the hash seed: out[s][i] equals
+/// sketches[s]->FrequencyEstimate(first + i) bit for bit. The run goes one
+/// 256-aligned window at a time; within a window the rows run outside and
+/// the keys inside, one row's (bucket, sign) serves all N sketches, and each
+/// key adds its rows in order j = 0..k-1 and then divides by k, as
+/// FrequencyEstimate does. The last key must not pass UINT64_MAX. Defined
+/// for N = 1 and N = 2.
+template <size_t N>
+void FrequencyEstimateRun(
+    const std::array<const LdpJoinSketchServer*, N>& sketches, uint64_t first,
+    uint64_t n, const std::array<double*, N>& out);
 
 }  // namespace ldpjs
 

@@ -32,7 +32,7 @@ struct LdpJoinSketchPlusParams {
 
   void Validate() const {
     sketch.Validate();
-    LDPJS_CHECK(epsilon > 0.0);
+    LDPJS_CHECK(ValidEpsilon(epsilon));
     LDPJS_CHECK(sample_rate > 0.0 && sample_rate < 1.0);
     LDPJS_CHECK(threshold > 0.0 && threshold < 1.0);
   }

@@ -18,7 +18,7 @@ LdpMultiwayClient::LdpMultiwayClient(const MultiwayParams& params,
                                      double epsilon)
     : params_(params) {
   params_.Validate();
-  LDPJS_CHECK(epsilon > 0.0);
+  LDPJS_CHECK(ValidEpsilon(epsilon));
   flip_prob_ = 1.0 / (std::exp(epsilon) + 1.0);
   left_rows_ = MakeRowHashes(params.left_seed, params.k,
                              static_cast<uint64_t>(params.m_left));
@@ -167,7 +167,7 @@ Result<LdpMultiwayServer> LdpMultiwayServer::Deserialize(
   if (expected_cells > kMaxMultiwayCells) {
     return Status::Corruption("multiway sketch shape too large");
   }
-  if (!(*epsilon > 0.0)) return Status::Corruption("invalid epsilon");
+  if (!ValidEpsilon(*epsilon)) return Status::Corruption("invalid epsilon");
   auto cells = reader.GetDoubleVector();
   if (!cells.ok()) return cells.status();
   if (cells->size() != expected_cells) {

@@ -17,6 +17,17 @@ inline constexpr int kMaxSketchRows = std::numeric_limits<uint16_t>::max();
 /// The most columns a sketch may have: the largest power of two that
 /// SketchParams::m (an int) holds.
 inline constexpr int kMaxSketchColumns = 1 << 30;
+/// The largest privacy budget a sketch accepts. Past ε ≈ 709.78, e^ε
+/// overflows a double, the debias factor c_ε = (e^ε + 1) / (e^ε − 1) is
+/// inf/inf = NaN, and so is every estimate. Every client and server
+/// constructor refuses an ε outside (0, kMaxEpsilon], and every Deserialize
+/// returns Corruption for one.
+inline constexpr double kMaxEpsilon = 709.0;
+
+/// 0 < ε ≤ kMaxEpsilon (false for NaN).
+inline bool ValidEpsilon(double epsilon) {
+  return epsilon > 0.0 && epsilon <= kMaxEpsilon;
+}
 
 /// Shape and hash seed of a private sketch. Two sketches are comparable
 /// (joinable / mergeable) iff all three fields match.
@@ -33,6 +44,7 @@ struct SketchParams {
 };
 
 /// c_ε = (e^ε + 1) / (e^ε − 1), the randomized-response debias factor.
+/// Requires ValidEpsilon(epsilon).
 double DebiasFactor(double epsilon);
 
 }  // namespace ldpjs

@@ -22,7 +22,7 @@
 namespace ldpjs {
 
 struct HcmsParams {
-  double epsilon = 1.0;
+  double epsilon = 1.0;  ///< LDP budget, in (0, kMaxEpsilon]
   int k = 18;    ///< sketch rows
   int m = 1024;  ///< sketch columns; must be a power of two
   uint64_t seed = 1;

@@ -10,12 +10,17 @@ std::shared_ptr<const PublishedView> ViewPublisher::Publish(
   auto view = std::make_shared<const PublishedView>(
       sequence_.fetch_add(1, std::memory_order_relaxed) + 1, aligned, epoch,
       std::move(finalized));
-  current_.store(view, std::memory_order_release);
+  MutexLock lock(mu_);
+  std::shared_ptr<const PublishedView> previous =
+      std::exchange(current_, view);
+  // Readers never wait on freeing a view this held the last reference to.
+  lock.Unlock();
   return view;
 }
 
 std::shared_ptr<const PublishedView> ViewPublisher::Current() const {
-  return current_.load(std::memory_order_acquire);
+  MutexLock lock(mu_);
+  return current_;
 }
 
 }  // namespace ldpjs

@@ -5,11 +5,15 @@
 // lanes) is write-hot and lock-guarded; estimates used to take those same
 // locks and copy-and-finalize k·m lanes per query. Instead, the WRITER now
 // builds an immutable finalized snapshot at each epoch boundary (and on any
-// dirty finalize) and swaps it into an atomic shared_ptr. A reader grabs
-// the pointer — one atomic load, zero copies, zero locks shared with
-// ingest — and computes any number of estimates against a view that can
-// never change underneath it. Queries scale with cores; a concurrent epoch
-// cut simply publishes the *next* view.
+// dirty finalize) and swaps a shared_ptr to it in under the publisher's
+// own Mutex. A reader copies that pointer under the same Mutex — one
+// refcount increment, no sketch copy, and a lock held for a pointer copy
+// and shared only with the publisher and other readers, never with
+// ingest — then computes any number of estimates against a view that can
+// never change underneath it. A concurrent epoch cut simply publishes the
+// *next* view. (std::atomic<std::shared_ptr> would say the same, but
+// libstdc++ 12 implements it with an internal lock bit whose load
+// ThreadSanitizer reports as racing the store.)
 //
 // Consistency: a published view is internally consistent by construction
 // (sequence, epoch identity, and sketch are fields of one immutable object
@@ -25,6 +29,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/thread_annotations.h"
 #include "core/ldp_join_sketch.h"
 
 namespace ldpjs {
@@ -55,8 +60,8 @@ struct PublishedView {
 
 /// Single-writer/multi-reader swap cell. Writers call Publish with a
 /// finalized sketch (typically at an epoch boundary); readers call
-/// Current() — a bare atomic shared_ptr load. Current() is never null once
-/// the owner has published its initial (usually empty) view.
+/// Current(), a shared_ptr copy under the cell's Mutex. Current() is never
+/// null once the owner has published its initial (usually empty) view.
 class ViewPublisher {
  public:
   /// Wraps `finalized` (must be finalized) in a new immutable view with
@@ -64,7 +69,8 @@ class ViewPublisher {
   std::shared_ptr<const PublishedView> Publish(LdpJoinSketchServer finalized,
                                                bool aligned, uint64_t epoch);
 
-  /// The latest published view (one atomic load; no locks, no copies).
+  /// The latest published view (a pointer copy under the cell's Mutex; the
+  /// view itself is never copied).
   std::shared_ptr<const PublishedView> Current() const;
 
   /// Number of Publish calls so far.
@@ -73,7 +79,8 @@ class ViewPublisher {
   }
 
  private:
-  std::atomic<std::shared_ptr<const PublishedView>> current_;
+  mutable Mutex mu_;
+  std::shared_ptr<const PublishedView> current_ LDPJS_GUARDED_BY(mu_);
   std::atomic<uint64_t> sequence_{0};
 };
 

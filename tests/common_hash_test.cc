@@ -1,10 +1,13 @@
 #include "common/hash.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace ldpjs {
 namespace {
@@ -137,6 +140,69 @@ TEST(RowHashesTest, RowsAreDistinct) {
     if (rows[0].bucket(x) != rows[1].bucket(x)) ++diff;
   }
   EXPECT_GT(diff, 150);  // different rows hash differently almost always
+}
+
+// A run of consecutive keys must yield exactly the per-key (bucket, sign):
+// the run shares tabulation work within 256-aligned windows and steps the
+// sign cubic by forward differences, and both shortcuts have edges.
+TEST(RowHashesTest, RunMatchesPerKeyHashes) {
+  struct Run {
+    uint64_t first;
+    uint64_t n;
+  };
+  std::vector<Run> runs = {
+      {0, 0},    {0, 1},   {0, 3},   {0, 4},     {0, 256}, {0, 700},
+      {253, 3},  {253, 4}, {254, 5}, {255, 1},   {255, 2}, {255, 257},
+      {256, 256}, {511, 514},
+  };
+  // Starts just below multiples of p = 2^61 - 1, where the residue wraps to
+  // 0 mid-run, and of 2^61, where the fold (x mod 2^61) + (x >> 61) carries.
+  for (uint64_t j = 1; j <= 7; ++j) {
+    for (const uint64_t base : {j << 61, j * kMersenne61}) {
+      runs.push_back({base - 3, 300});
+      runs.push_back({base - 1, 4});
+    }
+  }
+  // Runs that end at UINT64_MAX: 1-3 keys evaluate directly, longer ones
+  // step to the last key without wrapping.
+  for (const uint64_t n : {1, 2, 3, 4, 5, 256, 300}) {
+    runs.push_back({UINT64_MAX - (n - 1), n});
+  }
+  uint64_t sm = 12345;
+  for (int t = 0; t < 200; ++t) {
+    // Starts of every magnitude: a 64-bit draw shifted right 0-63 bits.
+    const uint64_t draw = SplitMix64Next(sm);
+    const uint64_t first = draw >> (SplitMix64Next(sm) % 64);
+    const uint64_t n = SplitMix64Next(sm) % 600;
+    runs.push_back({std::min(first, UINT64_MAX - n), n});
+  }
+  // m = 2^32 keeps the full 32-bit tabulation hash in the bucket.
+  for (const uint64_t m : {uint64_t{1024}, uint64_t{1000}, uint64_t{1} << 32}) {
+    const std::vector<RowHashes> rows = MakeRowHashes(m + 5, 2, m);
+    for (const RowHashes& row : rows) {
+      for (const Run& run : runs) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " first="
+                                          << run.first << " n=" << run.n);
+        std::vector<uint64_t> keys, buckets, want_buckets;
+        std::vector<int> signs, want_signs;
+        row.ForEachInRun(run.first, run.n,
+                         [&](uint64_t i, uint64_t bucket, int sign) {
+                           keys.push_back(i);
+                           buckets.push_back(bucket);
+                           signs.push_back(sign);
+                         });
+        std::vector<uint64_t> want_keys;
+        for (uint64_t i = 0; i < run.n; ++i) {
+          want_keys.push_back(i);
+          want_buckets.push_back(row.bucket(run.first + i));
+          want_signs.push_back(row.sign(run.first + i));
+        }
+        ASSERT_EQ(keys, want_keys);
+        ASSERT_EQ(buckets, want_buckets);
+        ASSERT_EQ(signs, want_signs);
+      }
+    }
+  }
 }
 
 TEST(TabulationHashTest, DeterministicAndSeedSensitive) {

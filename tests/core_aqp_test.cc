@@ -67,6 +67,54 @@ TEST(AqpTest, WeightedSumMatchesManualAccumulation) {
               1e-9);
 }
 
+// Each estimator walks its range a 256-key run at a time; its answer must
+// equal the same sum over per-key point queries, bit for bit, on a range
+// that starts and ends off a run boundary.
+TEST(AqpTest, EstimatorsMatchPerKeyLoopOnUnalignedRange) {
+  AqpFixture fx;
+  const ValueRange range{37, 1500};
+  const auto weight = [](uint64_t d) {
+    return 0.5 + static_cast<double>(d % 7);
+  };
+  double count = 0.0;
+  double weighted = 0.0;
+  double join = 0.0;
+  uint64_t support = 0;
+  for (uint64_t d = range.lo; d <= range.hi; ++d) {
+    const double f_a = fx.sketch_a->FrequencyEstimate(d);
+    count += f_a;
+    weighted += weight(d) * f_a;
+    join += f_a * fx.sketch_b->FrequencyEstimate(d);
+    if (f_a > 0.0) ++support;
+  }
+  EXPECT_EQ(RangeCountEstimate(*fx.sketch_a, range), count);
+  EXPECT_EQ(RangeWeightedSumEstimate(*fx.sketch_a, range, weight), weighted);
+  EXPECT_EQ(PredicateJoinEstimate(*fx.sketch_a, *fx.sketch_b, range), join);
+  EXPECT_EQ(SupportSizeEstimate(*fx.sketch_a, range, 0.0), support);
+  EXPECT_GT(support, 0u);
+  EXPECT_LT(support, range.Width());
+}
+
+// Range counts pinned to the values they had before f̂ was evaluated a run
+// of keys at a time: one range on the run grid's edges, one inside the
+// last, partial scan block of a 300001-key domain.
+TEST(AqpTest, RangeCountPinnedValues) {
+  const JoinWorkload w = MakeZipfWorkload(1.1, 300001, 1 << 18, 7);
+  SketchParams params;
+  params.k = 18;
+  params.m = 1024;
+  params.seed = 51;
+  SimulationOptions sim;
+  sim.run_seed = 9;
+  sim.num_threads = 4;
+  const LdpJoinSketchServer sketch =
+      BuildLdpJoinSketch(w.table_a, params, 4.0, sim);
+  EXPECT_EQ(RangeCountEstimate(sketch, ValueRange{1000, 2023}),
+            5149.2302736915626);
+  EXPECT_EQ(RangeCountEstimate(sketch, ValueRange{299000, 300000}),
+            -13885.494851658979);
+}
+
 TEST(AqpTest, PredicateJoinTracksRestrictedTruth) {
   AqpFixture fx;
   const ValueRange range{0, 19};

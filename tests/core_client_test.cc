@@ -148,6 +148,25 @@ TEST(LdpClientDeathTest, MoreRowsThanAReportCanNameAbort) {
   EXPECT_DEATH(LdpJoinSketchServer(params, 1.0), "LDPJS_CHECK failed");
 }
 
+// Past ε ≈ 709.78, c_ε = (e^ε + 1) / (e^ε − 1) is inf/inf and every
+// estimate NaN: both constructors refuse a budget above kMaxEpsilon, and
+// kMaxEpsilon itself still estimates finitely.
+TEST(LdpClientDeathTest, EpsilonPastTheBoundAborts) {
+  EXPECT_DEATH(LdpJoinSketchClient(SmallParams(), 800.0),
+               "LDPJS_CHECK failed");
+  EXPECT_DEATH(LdpJoinSketchServer(SmallParams(), 800.0),
+               "LDPJS_CHECK failed");
+  EXPECT_DEATH(LdpJoinSketchServer(SmallParams(), std::nan("")),
+               "LDPJS_CHECK failed");
+  const LdpJoinSketchClient client(SmallParams(), kMaxEpsilon);
+  LdpJoinSketchServer server(SmallParams(), kMaxEpsilon);
+  Xoshiro256 rng(3);
+  for (int i = 0; i < 100; ++i) server.Absorb(client.Perturb(7, rng));
+  server.Finalize();
+  EXPECT_TRUE(std::isfinite(server.c_eps()));
+  EXPECT_TRUE(std::isfinite(server.FrequencyEstimate(7)));
+}
+
 TEST(LdpReportTest, EncodeDecodeRoundTrip) {
   BinaryWriter writer;
   const LdpReport original{-1, 17, 1023};

@@ -159,5 +159,10 @@ TEST(FapTest, EmptyFrequentItemsMakesEverythingTargetInLowMode) {
   EXPECT_FALSE(high.IsTarget(42));
 }
 
+TEST(FapDeathTest, EpsilonPastTheBoundAborts) {
+  EXPECT_DEATH(FapClient(TestParams(), 800.0, FapMode::kLow, FrequentItems{1}),
+               "LDPJS_CHECK failed");
+}
+
 }  // namespace
 }  // namespace ldpjs

@@ -1,6 +1,9 @@
 #include "core/multiway.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -204,6 +207,30 @@ TEST(MultiwayServerTest, MergeEqualsSequential) {
       EXPECT_NEAR(da[i], db[i], 1e-9);
     }
   }
+}
+
+TEST(MultiwayServerTest, DeserializeRejectsEpsilonPastTheBound) {
+  LdpMultiwayServer server(MidParams(2, 32), 1.0);
+  server.Finalize();
+  // magic, version, k, m_left, m_right, left_seed, right_seed
+  const size_t epsilon_offset = 4 + 1 + 4 + 4 + 4 + 8 + 8;
+  const auto with_epsilon = [&](double epsilon) {
+    std::vector<uint8_t> bytes = server.Serialize();
+    BinaryWriter writer;
+    writer.PutDouble(epsilon);
+    std::copy(writer.buffer().begin(), writer.buffer().end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(epsilon_offset));
+    return LdpMultiwayServer::Deserialize(bytes);
+  };
+  EXPECT_TRUE(with_epsilon(kMaxEpsilon).ok());
+  EXPECT_EQ(with_epsilon(800.0).status().code(), StatusCode::kCorruption);
+}
+
+TEST(MultiwayDeathTest, EpsilonPastTheBoundAborts) {
+  EXPECT_DEATH(LdpMultiwayClient(MidParams(2, 32), 800.0),
+               "LDPJS_CHECK failed");
+  EXPECT_DEATH(LdpMultiwayServer(MidParams(2, 32), 800.0),
+               "LDPJS_CHECK failed");
 }
 
 TEST(MultiwayDeathTest, ValidationAndLifecycle) {

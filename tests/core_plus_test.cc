@@ -45,6 +45,27 @@ TEST(FreqItemsTest, FindsPlantedHeavyHitters) {
   EXPECT_LE(tail_hits, 5u);
 }
 
+TEST(FreqItemsTest, SingleSketchScanMatchesItsDefinition) {
+  // Past the first scan block and off the 256-key run grid, so the last
+  // run and the last block are both partial.
+  const uint64_t domain = 70013;
+  const SketchParams params = TestParams(6, 256);
+  const JoinWorkload w = MakeZipfWorkload(1.1, domain, 200000, 61);
+  SimulationOptions sim;
+  sim.run_seed = 62;
+  const LdpJoinSketchServer sketch =
+      BuildLdpJoinSketch(w.table_a, params, 4.0, sim);
+  const double theta = 0.002 * static_cast<double>(w.table_a.size());
+  std::vector<uint64_t> expected;
+  for (uint64_t d = 0; d < domain; ++d) {
+    if (sketch.FrequencyEstimate(d) > theta) expected.push_back(d);
+  }
+  ASSERT_FALSE(expected.empty());
+  EXPECT_GE(expected.back(), kFrequentScanBlock);
+  const FrequentItems fi = FindFrequentItems(sketch, domain, theta);
+  EXPECT_EQ(std::vector<uint64_t>(fi.begin(), fi.end()), expected);
+}
+
 TEST(FreqItemsTest, UnionCoversBothAttributes) {
   const uint64_t domain = 100;
   // Table A heavy at 0, table B heavy at 99.
@@ -333,6 +354,36 @@ TEST(LdpJoinSketchPlusTest, DeterministicForFixedSeedAndThreads) {
   }
 }
 
+// Every result field but the two timings, pinned to the values the
+// estimator gave before phase 1 evaluated f̂ a run of keys at a time. The
+// domain, 300001 keys, is a multiple of neither the 256-key run nor the
+// 2^16-key scan block.
+TEST(LdpJoinSketchPlusTest, PinnedOnADomainOffTheScanGrid) {
+  const JoinWorkload w = MakeZipfWorkload(1.1, 300001, 1 << 18, 7);
+  LdpJoinSketchPlusParams params;
+  params.sketch = TestParams(18, 1024, 51);
+  params.epsilon = 4.0;
+  params.sample_rate = 0.1;
+  params.threshold = 0.001;
+  params.simulation.run_seed = 5;
+  params.simulation.num_threads = 4;
+  const LdpJoinSketchPlusResult r =
+      EstimateJoinSizePlus(w.table_a, w.table_b, params);
+  EXPECT_EQ(r.estimate, 1653343078.7494209);
+  EXPECT_EQ(r.low_estimate, -71108426.615424246);
+  EXPECT_EQ(r.high_estimate, 1724451505.364845);
+  EXPECT_EQ(r.frequent_item_count, 204065u);
+  // Both masses clamp to the table size, 2^18.
+  EXPECT_EQ(r.high_freq_mass_a, 262144.0);
+  EXPECT_EQ(r.high_freq_mass_b, 262144.0);
+  EXPECT_EQ(r.sample_rows_a, 26183u);
+  EXPECT_EQ(r.sample_rows_b, 26136u);
+  EXPECT_EQ(r.group_rows_a[0], 118259u);
+  EXPECT_EQ(r.group_rows_a[1], 117702u);
+  EXPECT_EQ(r.group_rows_b[0], 117497u);
+  EXPECT_EQ(r.group_rows_b[1], 118511u);
+}
+
 TEST(LdpJoinSketchPlusTest, HighFreqMassClampedToTableSize) {
   const JoinWorkload w = MakeZipfWorkload(2.0, 200, 80000, 43);
   LdpJoinSketchPlusParams params;
@@ -353,6 +404,10 @@ TEST(LdpJoinSketchPlusDeathTest, InvalidParamsAbort) {
                "LDPJS_CHECK failed");
   params.sample_rate = 0.1;
   params.threshold = 1.5;
+  EXPECT_DEATH(EstimateJoinSizePlus(w.table_a, w.table_b, params),
+               "LDPJS_CHECK failed");
+  params.threshold = 0.001;
+  params.epsilon = 800.0;  // past kMaxEpsilon: c_ε would be NaN
   EXPECT_DEATH(EstimateJoinSizePlus(w.table_a, w.table_b, params),
                "LDPJS_CHECK failed");
 }

@@ -1,4 +1,8 @@
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -227,6 +231,27 @@ TEST(LdpServerTest, DeserializeRejectsCorruptedShape) {
             StatusCode::kCorruption);
 }
 
+TEST(LdpServerTest, DeserializeRejectsEpsilonPastTheBound) {
+  const LdpJoinSketchServer server(TestParams(2, 64), 1.0);
+  const size_t epsilon_offset = 4 + 1 + 4 + 4 + 8;  // magic .. seed
+  const auto with_epsilon = [&](double epsilon) {
+    std::vector<uint8_t> bytes = server.Serialize();
+    BinaryWriter writer;
+    writer.PutDouble(epsilon);
+    std::copy(writer.buffer().begin(), writer.buffer().end(),
+              bytes.begin() + static_cast<std::ptrdiff_t>(epsilon_offset));
+    return LdpJoinSketchServer::Deserialize(bytes);
+  };
+  const auto largest = with_epsilon(kMaxEpsilon);
+  ASSERT_TRUE(largest.ok());
+  EXPECT_EQ(largest->epsilon(), kMaxEpsilon);
+  for (const double epsilon : {800.0, std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(with_epsilon(epsilon).status().code(), StatusCode::kCorruption)
+        << epsilon;
+  }
+}
+
 TEST(LdpServerTest, DeserializeRejectsTruncation) {
   const SketchParams params = TestParams(2, 64);
   LdpJoinSketchServer server(params, 1.0);
@@ -250,6 +275,23 @@ TEST(LdpServerTest, DeserializeRejectsTrailingBytes) {
   finalized_bytes.push_back(0);
   EXPECT_EQ(LdpJoinSketchServer::Deserialize(finalized_bytes).status().code(),
             StatusCode::kCorruption);
+}
+
+TEST(LdpServerTest, EstimateAllFrequenciesMatchesPointQueries) {
+  // Enough work to shard across the pool, over a domain off the run grid,
+  // so shards start and end mid-run.
+  const uint64_t domain = 3007;
+  const JoinWorkload w = MakeZipfWorkload(1.3, domain, 50000, 13);
+  SimulationOptions sim;
+  sim.run_seed = 14;
+  sim.num_threads = 4;
+  const LdpJoinSketchServer sketch =
+      BuildLdpJoinSketch(w.table_a, TestParams(18, 256), 4.0, sim);
+  const std::vector<double> all = sketch.EstimateAllFrequencies(domain);
+  ASSERT_EQ(all.size(), domain);
+  for (uint64_t d = 0; d < domain; ++d) {
+    ASSERT_EQ(all[d], sketch.FrequencyEstimate(d)) << d;
+  }
 }
 
 TEST(LdpServerDeathTest, LifecycleViolationsAbort) {

@@ -127,6 +127,12 @@ TEST(HcmsDeathTest, MoreRowsThanAReportCanNameAbort) {
   EXPECT_DEATH(HcmsServer{params}, "LDPJS_CHECK failed");
 }
 
+TEST(HcmsDeathTest, EpsilonPastTheBoundAborts) {
+  const HcmsParams params = SmallParams(800.0);  // past kMaxEpsilon
+  EXPECT_DEATH(HcmsClient{params}, "LDPJS_CHECK failed");
+  EXPECT_DEATH(HcmsServer{params}, "LDPJS_CHECK failed");
+}
+
 TEST(HcmsTest, ByteSizeMatchesShape) {
   const HcmsParams params = SmallParams();
   HcmsServer server(params);

@@ -149,10 +149,6 @@ SketchParams SketchFromFlags(const tools::Flags& flags) {
   return params;
 }
 
-/// Past ε ≈ 709.78, e^ε overflows a double and the debias factor
-/// c_ε = (e^ε + 1) / (e^ε − 1) turns NaN, and so does every estimate.
-constexpr double kMaxEpsilon = 709.0;
-
 double EpsilonFromFlags(const tools::Flags& flags) {
   return flags.GetDoubleIn("epsilon", 0.0, kMaxEpsilon);
 }
