@@ -1,5 +1,7 @@
 #include "common/serialize.h"
 
+#include <bit>
+
 namespace ldpjs {
 
 void BinaryWriter::PutU32(uint32_t v) {
@@ -29,40 +31,36 @@ void BinaryWriter::PutFrame(std::span<const uint8_t> payload) {
 
 namespace {
 
-/// Shared length-prefixed codec for vectors of 8-byte elements, so the
-/// length guard and loop exist once for every element type.
-template <typename T, typename PutElem>
-void PutVector64(BinaryWriter& writer, std::span<const T> values,
-                 const PutElem& put) {
-  writer.PutU64(values.size());
-  for (const T& v : values) put(v);
+void StoreLe64(uint8_t* p, uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
-template <typename T, typename GetElem>
-Result<std::vector<T>> GetVector64(BinaryReader& reader, const GetElem& get) {
-  auto count = reader.GetU64();
-  if (!count.ok()) return count.status();
-  if (*count > reader.remaining() / 8) {
-    return Status::Corruption("vector length exceeds buffer");
-  }
-  std::vector<T> out;
-  out.reserve(*count);
-  for (uint64_t i = 0; i < *count; ++i) {
-    auto v = get();
-    if (!v.ok()) return v.status();
-    out.push_back(*v);
-  }
-  return out;
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  return v;
 }
 
 }  // namespace
 
+/// The vector codec: a u64 count, then each value's 8 bytes little-endian.
+template <typename T>
+void BinaryWriter::PutVector64(std::span<const T> values) {
+  static_assert(sizeof(T) == 8);
+  PutU64(values.size());
+  const size_t at = buffer_.size();
+  buffer_.resize(at + 8 * values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    StoreLe64(buffer_.data() + at + 8 * i, std::bit_cast<uint64_t>(values[i]));
+  }
+}
+
 void BinaryWriter::PutDoubleVector(std::span<const double> values) {
-  PutVector64(*this, values, [this](double v) { PutDouble(v); });
+  PutVector64(values);
 }
 
 void BinaryWriter::PutI64Vector(std::span<const int64_t> values) {
-  PutVector64(*this, values, [this](int64_t v) { PutI64(v); });
+  PutVector64(values);
 }
 
 Status BinaryReader::Need(size_t n) {
@@ -88,8 +86,7 @@ Result<uint32_t> BinaryReader::GetU32() {
 
 Result<uint64_t> BinaryReader::GetU64() {
   LDPJS_RETURN_IF_ERROR(Need(8));
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_ + static_cast<size_t>(i)]) << (8 * i);
+  const uint64_t v = LoadLe64(data_.data() + pos_);
   pos_ += 8;
   return v;
 }
@@ -110,12 +107,37 @@ Result<double> BinaryReader::GetDouble() {
 }
 
 Result<std::vector<double>> BinaryReader::GetDoubleVector() {
-  return GetVector64<double>(*this, [this] { return GetDouble(); });
+  // Any length: peek the count prefix and read the vector as that long.
+  auto count = BinaryReader(*this).GetU64();
+  if (!count.ok()) return count.status();
+  std::vector<double> out;
+  LDPJS_RETURN_IF_ERROR(GetVector64(*count, out));
+  return out;
 }
 
-Result<std::vector<int64_t>> BinaryReader::GetI64Vector() {
-  return GetVector64<int64_t>(*this, [this] { return GetI64(); });
+template <typename T>
+Status BinaryReader::GetVector64(uint64_t count, std::vector<T>& out) {
+  static_assert(sizeof(T) == 8);
+  auto prefix = GetU64();
+  if (!prefix.ok()) return prefix.status();
+  if (*prefix != count) {
+    return Status::Corruption("vector length " + std::to_string(*prefix) +
+                              " is not the expected " + std::to_string(count));
+  }
+  if (count > remaining() / 8) {
+    return Status::Corruption("vector length exceeds buffer");
+  }
+  const uint8_t* in = data_.data() + pos_;
+  out.resize(count);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = std::bit_cast<T>(LoadLe64(in + 8 * i));
+  }
+  pos_ += 8 * out.size();
+  return Status::OK();
 }
+
+template Status BinaryReader::GetVector64(uint64_t, std::vector<double>&);
+template Status BinaryReader::GetVector64(uint64_t, std::vector<int64_t>&);
 
 Result<std::span<const uint8_t>> BinaryReader::GetRaw(size_t n) {
   LDPJS_RETURN_IF_ERROR(Need(n));

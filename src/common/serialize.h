@@ -32,9 +32,10 @@ class BinaryWriter {
   /// can skip a frame without understanding its payload. Payloads above
   /// 4 GiB are a contract violation (frames are decode-buffer sized).
   void PutFrame(std::span<const uint8_t> payload);
-  /// Length-prefixed vector of doubles.
+  /// Length-prefixed (u64 count) vector of doubles, 8 little-endian bytes
+  /// each. The buffer grows once for the whole vector.
   void PutDoubleVector(std::span<const double> values);
-  /// Length-prefixed vector of signed 64-bit integers (raw sketch lanes).
+  /// The same layout for signed 64-bit integers (raw sketch lanes).
   void PutI64Vector(std::span<const int64_t> values);
 
   const std::vector<uint8_t>& buffer() const { return buffer_; }
@@ -42,6 +43,9 @@ class BinaryWriter {
   size_t size() const { return buffer_.size(); }
 
  private:
+  template <typename T>
+  void PutVector64(std::span<const T> values);
+
   std::vector<uint8_t> buffer_;
 };
 
@@ -55,8 +59,14 @@ class BinaryReader {
   Result<uint64_t> GetU64();
   Result<int64_t> GetI64();
   Result<double> GetDouble();
+  /// Reads a PutDoubleVector record of any length.
   Result<std::vector<double>> GetDoubleVector();
-  Result<std::vector<int64_t>> GetI64Vector();
+  /// Reads a PutDoubleVector / PutI64Vector record that must hold exactly
+  /// `count` values into `out`, replacing its contents: one length check,
+  /// one bounds check, then one little-endian loop. Corruption otherwise.
+  /// Defined for T = double and T = int64_t.
+  template <typename T>
+  Status GetVector64(uint64_t count, std::vector<T>& out);
   /// Bounds-checks and consumes the next `n` bytes, returning a zero-copy
   /// view into the underlying buffer (valid while the buffer lives). This is
   /// the batch-decode primitive: one check up front instead of one per field.

@@ -49,6 +49,10 @@ class FapClient {
 
   FapMode mode() const { return mode_; }
   const LdpJoinSketchClient& inner_client() const { return inner_; }
+  const std::shared_ptr<const SketchShape>& shape() const {
+    return inner_.shape();
+  }
+  double epsilon() const { return inner_.epsilon(); }
 
  private:
   LdpJoinSketchClient inner_;

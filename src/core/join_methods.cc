@@ -53,8 +53,7 @@ JoinMethodResult RunKrr(const Column& a, const Column& b,
   const auto online_start = Clock::now();
   const std::vector<double> freq_a = server_a.EstimateAllFrequencies();
   const std::vector<double> freq_b = server_b.EstimateAllFrequencies();
-  result.estimate = JoinSizeFromFrequencies(freq_a, freq_b,
-                                            config.clamp_negative_frequencies);
+  result.estimate = JoinSizeFromFrequencies(freq_a, freq_b);
   result.online_seconds = SecondsSince(online_start);
   result.comm_bits = CommCostModel::KrrBitsPerUser(a.domain()) *
                      static_cast<double>(a.size() + b.size());
@@ -85,8 +84,7 @@ JoinMethodResult RunHcms(const Column& a, const Column& b,
   const auto online_start = Clock::now();
   const std::vector<double> freq_a = server_a.EstimateAllFrequencies(a.domain());
   const std::vector<double> freq_b = server_b.EstimateAllFrequencies(b.domain());
-  result.estimate = JoinSizeFromFrequencies(freq_a, freq_b,
-                                            config.clamp_negative_frequencies);
+  result.estimate = JoinSizeFromFrequencies(freq_a, freq_b);
   result.online_seconds = SecondsSince(online_start);
   result.comm_bits =
       CommCostModel::HadamardSketchBitsPerUser(params.k, params.m) *
@@ -115,8 +113,7 @@ JoinMethodResult RunFlh(const Column& a, const Column& b,
   const auto online_start = Clock::now();
   const std::vector<double> freq_a = server_a.EstimateAllFrequencies(a.domain());
   const std::vector<double> freq_b = server_b.EstimateAllFrequencies(b.domain());
-  result.estimate = JoinSizeFromFrequencies(freq_a, freq_b,
-                                            config.clamp_negative_frequencies);
+  result.estimate = JoinSizeFromFrequencies(freq_a, freq_b);
   result.online_seconds = SecondsSince(online_start);
   result.comm_bits =
       CommCostModel::FlhBitsPerUser(params.pool_size, client.g()) *

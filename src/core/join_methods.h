@@ -37,7 +37,6 @@ struct JoinMethodConfig {
   JoinEstOptions plus_join_est;   ///< LDPJoinSketch+ subtraction variant
   uint64_t run_seed = 42;
   size_t num_threads = 0;
-  bool clamp_negative_frequencies = false;  ///< for the oracle baselines
 };
 
 struct JoinMethodResult {

@@ -40,6 +40,15 @@ void SubLanes(int64_t* __restrict dst, const int64_t* __restrict src,
   for (size_t i = 0; i < n; ++i) dst[i] -= src[i];
 }
 
+/// Validates `params` and builds its hash tables: the one place the
+/// LDPJoinSketch family calls MakeRowHashes.
+std::shared_ptr<const SketchShape> MakeSketchShape(const SketchParams& params) {
+  params.Validate();
+  return std::make_shared<const SketchShape>(SketchShape{
+      params,
+      MakeRowHashes(params.seed, params.k, static_cast<uint64_t>(params.m))});
+}
+
 }  // namespace
 
 double DebiasFactor(double epsilon) {
@@ -138,18 +147,16 @@ Result<size_t> DecodeReportBatch(BinaryReader& reader,
 
 LdpJoinSketchClient::LdpJoinSketchClient(const SketchParams& params,
                                          double epsilon)
-    : params_(params), epsilon_(epsilon) {
-  params_.Validate();
+    : shape_(MakeSketchShape(params)), epsilon_(epsilon) {
   LDPJS_CHECK(ValidEpsilon(epsilon));
   flip_prob_ = 1.0 / (std::exp(epsilon) + 1.0);
   flip_threshold_ = BernoulliThreshold(flip_prob_);
   m_log2_ = std::countr_zero(static_cast<uint64_t>(params.m));
-  rows_ = MakeRowHashes(params.seed, params.k, static_cast<uint64_t>(params.m));
 }
 
 LdpReport LdpJoinSketchClient::Perturb(uint64_t value, Xoshiro256& rng) const {
   const ReportDraws d = SampleReportDraws(rng);
-  const RowHashes& row = rows_[d.j];
+  const RowHashes& row = shape_->rows[d.j];
   // w[l] = ξ_j(d) · H_m[h_j(d), l]; the one-hot structure makes this O(1).
   int w = row.sign(value) * HadamardEntry(row.bucket(value), d.l);
   if (d.flip) w = -w;
@@ -168,9 +175,9 @@ void LdpJoinSketchClient::PerturbBatch(std::span<const uint64_t> values,
 LdpReport LdpJoinSketchClient::PerturbReference(uint64_t value,
                                                 Xoshiro256& rng) const {
   const ReportDraws d = SampleReportDraws(rng);
-  const RowHashes& row = rows_[d.j];
+  const RowHashes& row = shape_->rows[d.j];
   // Algorithm 1 literally: v ← 0; v[h_j(d)] ← ξ_j(d); w ← v·H_m; y ← b·w[l].
-  std::vector<double> v(static_cast<size_t>(params_.m), 0.0);
+  std::vector<double> v(static_cast<size_t>(params().m), 0.0);
   v[row.bucket(value)] = row.sign(value);
   FastWalshHadamardTransform(std::span<double>(v));
   int w = v[d.l] > 0 ? 1 : -1;
@@ -180,30 +187,60 @@ LdpReport LdpJoinSketchClient::PerturbReference(uint64_t value,
 
 LdpJoinSketchServer::LdpJoinSketchServer(const SketchParams& params,
                                          double epsilon)
-    : params_(params), epsilon_(epsilon), c_eps_(DebiasFactor(epsilon)) {
-  params_.Validate();
-  rows_ = MakeRowHashes(params.seed, params.k, static_cast<uint64_t>(params.m));
-  lanes_.assign(static_cast<size_t>(params.k) * static_cast<size_t>(params.m),
+    : LdpJoinSketchServer(MakeSketchShape(params), epsilon) {}
+
+LdpJoinSketchServer::LdpJoinSketchServer(
+    std::shared_ptr<const SketchShape> shape, double epsilon)
+    : LdpJoinSketchServer(std::move(shape), epsilon, 0, false) {
+  lanes_.assign(static_cast<size_t>(params().k) *
+                    static_cast<size_t>(params().m),
                 0);
+}
+
+LdpJoinSketchServer::LdpJoinSketchServer(
+    std::shared_ptr<const SketchShape> shape, double epsilon, uint64_t total,
+    bool finalized)
+    : shape_(std::move(shape)),
+      epsilon_(epsilon),
+      c_eps_(DebiasFactor(epsilon)),
+      total_(total),
+      finalized_(finalized) {
+  LDPJS_CHECK(shape_ != nullptr);
+}
+
+LdpJoinSketchServer::LdpJoinSketchServer(LdpJoinSketchServer&& other) noexcept {
+  *this = std::move(other);
+}
+
+LdpJoinSketchServer& LdpJoinSketchServer::operator=(
+    LdpJoinSketchServer&& other) noexcept {
+  shape_ = other.shape_;
+  epsilon_ = other.epsilon_;
+  c_eps_ = other.c_eps_;
+  total_ = other.total_;
+  finalized_ = other.finalized_;
+  lanes_ = std::move(other.lanes_);
+  cells_ = std::move(other.cells_);
+  return *this;
 }
 
 void LdpJoinSketchServer::Absorb(const LdpReport& report) {
   LDPJS_CHECK(!finalized_);
-  LDPJS_CHECK(report.j < params_.k);
-  LDPJS_CHECK(report.l < static_cast<uint32_t>(params_.m));
+  LDPJS_CHECK(report.j < params().k);
+  LDPJS_CHECK(report.l < static_cast<uint32_t>(params().m));
   LDPJS_CHECK(report.y == 1 || report.y == -1);
-  lanes_[static_cast<size_t>(report.j) * static_cast<size_t>(params_.m) +
+  lanes_[static_cast<size_t>(report.j) * static_cast<size_t>(params().m) +
          report.l] += report.y;
   ++total_;
 }
 
 void LdpJoinSketchServer::AbsorbBatch(std::span<const LdpReport> reports) {
   LDPJS_CHECK(!finalized_);
-  const uint32_t k = static_cast<uint32_t>(params_.k);
-  const uint32_t m = static_cast<uint32_t>(params_.m);
+  const uint32_t k = static_cast<uint32_t>(params().k);
+  const uint32_t m = static_cast<uint32_t>(params().m);
   int64_t* __restrict lanes = lanes_.data();
   // m is validated to be a power of two, so the row offset is a shift.
-  const int m_log2 = std::countr_zero(static_cast<uint64_t>(params_.m));
+  const int m_log2 = std::countr_zero(static_cast<uint64_t>(m));
   // Single fused pass, deliberately. The lane scatter is a read-modify-
   // write through a data-dependent index, which no auto-vectorizer can turn
   // into SIMD (duplicate indices must serialize), and the validity branches
@@ -226,8 +263,7 @@ void LdpJoinSketchServer::AbsorbBatch(std::span<const LdpReport> reports) {
 
 void LdpJoinSketchServer::Merge(const LdpJoinSketchServer& other) {
   LDPJS_CHECK(!finalized_ && !other.finalized_);
-  LDPJS_CHECK(params_.k == other.params_.k && params_.m == other.params_.m);
-  LDPJS_CHECK(params_.seed == other.params_.seed);
+  LDPJS_CHECK(Mergeable(params(), epsilon_, other.params(), other.epsilon_));
   // AddLanes' restrict contract forbids overlap, so a self-merge — well-
   // defined under the old indexed loop — must be rejected, not miscompiled.
   LDPJS_CHECK(this != &other);
@@ -237,8 +273,7 @@ void LdpJoinSketchServer::Merge(const LdpJoinSketchServer& other) {
 
 void LdpJoinSketchServer::SubtractRaw(const LdpJoinSketchServer& other) {
   LDPJS_CHECK(!finalized_ && !other.finalized_);
-  LDPJS_CHECK(params_.k == other.params_.k && params_.m == other.params_.m);
-  LDPJS_CHECK(params_.seed == other.params_.seed);
+  LDPJS_CHECK(Mergeable(params(), epsilon_, other.params(), other.epsilon_));
   LDPJS_CHECK(this != &other);
   // Subtracting a sketch that was never merged in would leave a negative
   // report count — a caller bug, not a data condition.
@@ -255,10 +290,10 @@ void LdpJoinSketchServer::ResetLanes() {
 
 void LdpJoinSketchServer::Finalize() {
   LDPJS_CHECK(!finalized_);
-  const size_t m = static_cast<size_t>(params_.m);
-  const size_t rows = static_cast<size_t>(params_.k);
+  const size_t m = static_cast<size_t>(params().m);
+  const size_t rows = static_cast<size_t>(params().k);
   cells_.resize(lanes_.size());
-  const double scale = static_cast<double>(params_.k) * c_eps_;
+  const double scale = static_cast<double>(params().k) * c_eps_;
   SharedParallelFor(rows, lanes_.size(), [&](size_t, size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
       double* cell_row = cells_.data() + j * m;
@@ -277,10 +312,9 @@ void LdpJoinSketchServer::Finalize() {
 double LdpJoinSketchServer::JoinEstimate(
     const LdpJoinSketchServer& other) const {
   LDPJS_CHECK(finalized_ && other.finalized_);
-  LDPJS_CHECK(params_.k == other.params_.k && params_.m == other.params_.m);
-  LDPJS_CHECK(params_.seed == other.params_.seed);
-  const size_t m = static_cast<size_t>(params_.m);
-  const size_t rows = static_cast<size_t>(params_.k);
+  LDPJS_CHECK(SameShape(params(), other.params()));
+  const size_t m = static_cast<size_t>(params().m);
+  const size_t rows = static_cast<size_t>(params().k);
   std::vector<double> estimators(rows);
   SharedParallelFor(rows, cells_.size(), [&](size_t, size_t begin, size_t end) {
     for (size_t j = begin; j < end; ++j) {
@@ -296,10 +330,10 @@ double LdpJoinSketchServer::JoinEstimate(
 
 double LdpJoinSketchServer::TheoreticalErrorBound(
     const LdpJoinSketchServer& other) const {
-  LDPJS_CHECK(params_.k == other.params_.k && params_.m == other.params_.m);
-  const double k = static_cast<double>(params_.k);
+  LDPJS_CHECK(SameShape(params(), other.params()));
+  const double k = static_cast<double>(params().k);
   const double slack = (k * c_eps_ * c_eps_ - 1.0) / 2.0;
-  return 4.0 / std::sqrt(static_cast<double>(params_.m)) *
+  return 4.0 / std::sqrt(static_cast<double>(params().m)) *
          (static_cast<double>(total_) + slack) *
          (static_cast<double>(other.total_) + slack);
 }
@@ -307,24 +341,22 @@ double LdpJoinSketchServer::TheoreticalErrorBound(
 double LdpJoinSketchServer::FrequencyEstimate(uint64_t d) const {
   LDPJS_CHECK(finalized_);
   double acc = 0.0;
-  for (int j = 0; j < params_.k; ++j) {
-    const RowHashes& row = rows_[static_cast<size_t>(j)];
+  for (int j = 0; j < params().k; ++j) {
+    const RowHashes& row = shape_->rows[static_cast<size_t>(j)];
     acc += cell(j, static_cast<int>(row.bucket(d))) * row.sign(d);
   }
-  return acc / static_cast<double>(params_.k);
+  return acc / static_cast<double>(params().k);
 }
 
 template <size_t N>
 void FrequencyEstimateRun(
     const std::array<const LdpJoinSketchServer*, N>& sketches, uint64_t first,
     uint64_t n, const std::array<double*, N>& out) {
-  const LdpJoinSketchServer& lead = *sketches[0];
-  const SketchParams& params = lead.params_;
+  const SketchShape& shape = *sketches[0]->shape_;
+  const SketchParams& params = shape.params;
   for (const LdpJoinSketchServer* sketch : sketches) {
     LDPJS_CHECK(sketch->finalized_);
-    LDPJS_CHECK(sketch->params_.k == params.k &&
-                sketch->params_.m == params.m &&
-                sketch->params_.seed == params.seed);
+    LDPJS_CHECK(SameShape(sketch->params(), params));
   }
   LDPJS_CHECK(n == 0 || n - 1 <= UINT64_MAX - first);
   const double k = static_cast<double>(params.k);
@@ -343,7 +375,7 @@ void FrequencyEstimateRun(
       for (size_t s = 0; s < N; ++s) {
         row[s] = sketches[s]->cells_.data() + j * m;
       }
-      lead.rows_[j].ForEachInRun(
+      shape.rows[j].ForEachInRun(
           key, len, [&](uint64_t i, uint64_t bucket, int sign) {
             for (size_t s = 0; s < N; ++s) acc[s][i] += row[s][bucket] * sign;
           });
@@ -368,7 +400,7 @@ std::vector<double> LdpJoinSketchServer::EstimateAllFrequencies(
   std::vector<double> out(domain);
   SharedParallelFor(static_cast<size_t>(domain),
                     static_cast<size_t>(domain) *
-                        static_cast<size_t>(params_.k),
+                        static_cast<size_t>(params().k),
                     [&](size_t, size_t begin, size_t end) {
                       FrequencyEstimateRun<1>({this}, begin, end - begin,
                                               {out.data() + begin});
@@ -378,7 +410,7 @@ std::vector<double> LdpJoinSketchServer::EstimateAllFrequencies(
 
 void LdpJoinSketchServer::SubtractUniformMass(double total_mass) {
   LDPJS_CHECK(finalized_);
-  const double per_cell = total_mass / static_cast<double>(params_.m);
+  const double per_cell = total_mass / static_cast<double>(params().m);
   for (double& cell_value : cells_) cell_value -= per_cell;
 }
 
@@ -386,9 +418,9 @@ std::vector<uint8_t> LdpJoinSketchServer::Serialize() const {
   BinaryWriter writer;
   writer.PutU32(kSketchMagic);
   writer.PutU8(kSketchVersion);
-  writer.PutU32(static_cast<uint32_t>(params_.k));
-  writer.PutU32(static_cast<uint32_t>(params_.m));
-  writer.PutU64(params_.seed);
+  writer.PutU32(static_cast<uint32_t>(params().k));
+  writer.PutU32(static_cast<uint32_t>(params().m));
+  writer.PutU64(params().seed);
   writer.PutDouble(epsilon_);
   writer.PutU64(total_);
   writer.PutU8(finalized_ ? 1 : 0);
@@ -402,6 +434,16 @@ std::vector<uint8_t> LdpJoinSketchServer::Serialize() const {
 
 Result<LdpJoinSketchServer> LdpJoinSketchServer::Deserialize(
     std::span<const uint8_t> bytes) {
+  return Decode(bytes, nullptr);
+}
+
+Result<LdpJoinSketchServer> LdpJoinSketchServer::DeserializeLike(
+    std::span<const uint8_t> bytes) const {
+  return Decode(bytes, shape_);
+}
+
+Result<LdpJoinSketchServer> LdpJoinSketchServer::Decode(
+    std::span<const uint8_t> bytes, std::shared_ptr<const SketchShape> like) {
   BinaryReader reader(bytes);
   auto magic = reader.GetU32();
   if (!magic.ok()) return magic.status();
@@ -434,36 +476,26 @@ Result<LdpJoinSketchServer> LdpJoinSketchServer::Deserialize(
     return Status::Corruption("invalid sketch shape");
   }
   if (!ValidEpsilon(*epsilon)) return Status::Corruption("invalid epsilon");
-  const size_t expected_cells =
-      static_cast<size_t>(*k) * static_cast<size_t>(*m);
-  SketchParams params;
-  params.k = static_cast<int>(*k);
-  params.m = static_cast<int>(*m);
-  params.seed = *seed;
-  LdpJoinSketchServer server(params, *epsilon);
-  server.total_ = *total;
-  if (*finalized != 0) {
-    auto cells = reader.GetDoubleVector();
-    if (!cells.ok()) return cells.status();
-    if (cells->size() != expected_cells) {
-      return Status::Corruption("cell count does not match shape");
-    }
-    server.finalized_ = true;
-    server.cells_ = std::move(*cells);
-    server.lanes_.clear();
-    server.lanes_.shrink_to_fit();
-  } else {
-    auto lanes = reader.GetI64Vector();
-    if (!lanes.ok()) return lanes.status();
-    if (lanes->size() != expected_cells) {
-      return Status::Corruption("lane count does not match shape");
-    }
-    server.lanes_ = std::move(*lanes);
+  // The rest is a count prefix and k·m values, with no trailing byte. This
+  // is checked before a fresh shape is built, so a short buffer cannot make
+  // the decoder build k rows of hash tables.
+  const uint64_t values = static_cast<uint64_t>(*k) * *m;
+  if (reader.remaining() != 8 * (values + 1)) {
+    return Status::Corruption("sketch body does not match its shape");
   }
-  if (!reader.AtEnd()) {
-    return Status::Corruption("trailing bytes after sketch");
+  const SketchParams params{static_cast<int>(*k), static_cast<int>(*m), *seed};
+  if (like == nullptr) {
+    like = MakeSketchShape(params);
+  } else if (!SameShape(params, like->params)) {
+    return Status::FailedPrecondition(
+        "sketch shape (k, m, seed) differs from the sketch it decodes against");
   }
-  return server;
+  LdpJoinSketchServer sketch(std::move(like), *epsilon, *total,
+                             *finalized != 0);
+  LDPJS_RETURN_IF_ERROR(sketch.finalized_
+                            ? reader.GetVector64(values, sketch.cells_)
+                            : reader.GetVector64(values, sketch.lanes_));
+  return sketch;
 }
 
 }  // namespace ldpjs

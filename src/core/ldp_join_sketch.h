@@ -19,6 +19,15 @@
 // and each key's rows added in FrequencyEstimate's order, so every f̂ is
 // bit-identical to a point query's.
 //
+// Shape: (k, m, seed) and the k hash pairs (h_j, ξ_j) they fix are public
+// and the same for every sketch of one family, so they live in one immutable
+// SketchShape held by shared_ptr. A client and a server built from params
+// each build one; a copy, a merge result, and a sketch decoded against an
+// existing sketch (DeserializeLike) take the shape of the sketch they come
+// from, so a sketch's own state is its ε, its report count and its k·m
+// lanes or cells. Which sketches may be joined or merged is the rule in
+// core/params.h (SameShape, Mergeable).
+//
 // Deferred-debias invariant: Algorithm 2 writes k·c_ε·y into cell (j, l)
 // per report, but k·c_ε is a constant, so ingestion stores only the raw
 // ±1 vote balance per cell as an int64_t "lane". Absorb/AbsorbBatch/Merge
@@ -32,6 +41,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -84,6 +94,14 @@ void EncodeReportBatch(std::span<const LdpReport> reports,
 Result<size_t> DecodeReportBatch(BinaryReader& reader,
                                  std::span<LdpReport> out);
 
+/// What every sketch of one family shares: its params and the k row hash
+/// pairs they fix (8 KiB of tables a row). Immutable, so copies, merge
+/// results and decoded sketches share one by shared_ptr<const SketchShape>.
+struct SketchShape {
+  SketchParams params;
+  std::vector<RowHashes> rows;  ///< (h_j, ξ_j) for j in [0, k)
+};
+
 class LdpJoinSketchClient {
  public:
   /// `params.seed` must match the server's; epsilon is the LDP budget, in
@@ -109,14 +127,14 @@ class LdpJoinSketchClient {
   ReportDraws SampleReportDraws(Xoshiro256& rng) const {
     ReportDraws d;
     d.j = static_cast<uint16_t>(
-        rng.NextBounded(static_cast<uint64_t>(params_.k)));
+        rng.NextBounded(static_cast<uint64_t>(params().k)));
     if (m_log2_ <= 11) {
       const uint64_t w = rng();
       d.l = static_cast<uint32_t>(w >> (64 - m_log2_));
       d.flip = ((w << m_log2_) >> 11) < flip_threshold_;
     } else {
       d.l = static_cast<uint32_t>(
-          rng.NextBounded(static_cast<uint64_t>(params_.m)));
+          rng.NextBounded(static_cast<uint64_t>(params().m)));
       d.flip = (rng() >> 11) < flip_threshold_;
     }
     return d;
@@ -136,7 +154,8 @@ class LdpJoinSketchClient {
   /// Identical output to Perturb for identical RNG state; used by tests.
   LdpReport PerturbReference(uint64_t value, Xoshiro256& rng) const;
 
-  const SketchParams& params() const { return params_; }
+  const SketchParams& params() const { return shape_->params; }
+  const std::shared_ptr<const SketchShape>& shape() const { return shape_; }
   double epsilon() const { return epsilon_; }
   /// Pr[b = −1] = 1/(e^ε + 1).
   double flip_probability() const { return flip_prob_; }
@@ -144,22 +163,32 @@ class LdpJoinSketchClient {
   /// iff (x >> 11) < flip_threshold(), the same event as
   /// NextBernoulli(flip_probability()) on the same draw.
   uint64_t flip_threshold() const { return flip_threshold_; }
-  const std::vector<RowHashes>& row_hashes() const { return rows_; }
+  const std::vector<RowHashes>& row_hashes() const { return shape_->rows; }
 
  private:
-  SketchParams params_;
+  std::shared_ptr<const SketchShape> shape_;
   double epsilon_;
   double flip_prob_;
   uint64_t flip_threshold_;
   int m_log2_;
-  std::vector<RowHashes> rows_;
 };
 
 class LdpJoinSketchServer {
  public:
   /// Must be constructed with the clients' params and epsilon, which must be
-  /// in (0, kMaxEpsilon].
+  /// in (0, kMaxEpsilon]. Builds the family's shape.
   LdpJoinSketchServer(const SketchParams& params, double epsilon);
+
+  /// An empty sketch on an existing shape (non-null); builds no tables.
+  LdpJoinSketchServer(std::shared_ptr<const SketchShape> shape,
+                      double epsilon);
+
+  LdpJoinSketchServer(const LdpJoinSketchServer&) = default;
+  LdpJoinSketchServer& operator=(const LdpJoinSketchServer&) = default;
+  /// A move takes the lanes and cells but shares the shape, so a moved-from
+  /// sketch still answers params().
+  LdpJoinSketchServer(LdpJoinSketchServer&& other) noexcept;
+  LdpJoinSketchServer& operator=(LdpJoinSketchServer&& other) noexcept;
 
   /// Adds one client report: lane[j, l] += y. Invalid after Finalize.
   void Absorb(const LdpReport& report);
@@ -171,8 +200,8 @@ class LdpJoinSketchServer {
   void AbsorbBatch(std::span<const LdpReport> reports);
 
   /// Adds another server's raw lanes (distributed aggregation). Both must
-  /// share params/epsilon and be un-finalized. Integer addition, so merge
-  /// order never changes the result.
+  /// be Mergeable (same shape, bit-equal ε) and un-finalized. Integer
+  /// addition, so merge order never changes the result.
   void Merge(const LdpJoinSketchServer& other);
 
   /// Exact inverse of Merge: subtracts another server's raw lanes. Because
@@ -181,7 +210,7 @@ class LdpJoinSketchServer {
   /// makes sliding-window aggregation an O(lanes) incremental update
   /// (retract an expired epoch snapshot) instead of a recompute. `other`
   /// must previously have been merged in (contract: total_reports() never
-  /// goes negative); both must share params/epsilon and be un-finalized.
+  /// goes negative); both must be Mergeable and un-finalized.
   void SubtractRaw(const LdpJoinSketchServer& other);
 
   /// Zeroes every raw lane and the report count, starting a fresh epoch in
@@ -196,13 +225,14 @@ class LdpJoinSketchServer {
   void Finalize();
 
   /// Eq. 5: median over rows of the row inner products. Both sketches must
-  /// be finalized and share params. Rows run in parallel.
+  /// be finalized and have the same shape; their ε may differ. Rows run in
+  /// parallel.
   double JoinEstimate(const LdpJoinSketchServer& other) const;
 
   /// Theorem 5: with probability >= 1 - exp(-k/4), the join estimate is
   /// within  (4/sqrt(m)) · (F1(A) + (k·c_ε²-1)/2) · (F1(B) + (k·c_ε²-1)/2)
   /// of the truth, where F1 is each sketch's report count. Useful for
-  /// confidence intervals on query answers.
+  /// confidence intervals on query answers. Both must have the same shape.
   double TheoreticalErrorBound(const LdpJoinSketchServer& other) const;
 
   /// Theorem 7: f̂(d) = mean_j M[j, h_j(d)]·ξ_j(d). Unbiased.
@@ -217,7 +247,8 @@ class LdpJoinSketchServer {
   /// contribution of `total_mass` non-target FAP reports (Theorem 8).
   void SubtractUniformMass(double total_mass);
 
-  const SketchParams& params() const { return params_; }
+  const SketchParams& params() const { return shape_->params; }
+  const std::shared_ptr<const SketchShape>& shape() const { return shape_; }
   double epsilon() const { return epsilon_; }
   double c_eps() const { return c_eps_; }
   uint64_t total_reports() const { return total_; }
@@ -226,20 +257,20 @@ class LdpJoinSketchServer {
   /// (computed on the fly); after Finalize it reads the transformed cells.
   double cell(int row, int col) const {
     const size_t idx = static_cast<size_t>(row) *
-                           static_cast<size_t>(params_.m) +
+                           static_cast<size_t>(params().m) +
                        static_cast<size_t>(col);
     if (finalized_) return cells_[idx];
-    return static_cast<double>(params_.k) * c_eps_ *
+    return static_cast<double>(params().k) * c_eps_ *
            static_cast<double>(lanes_[idx]);
   }
   /// Raw ±1 vote balance of a cell; ingestion-side state, so only valid
   /// before Finalize (the lanes are released by it).
   int64_t lane(int row, int col) const {
     LDPJS_CHECK(!finalized_);
-    return lanes_[static_cast<size_t>(row) * static_cast<size_t>(params_.m) +
+    return lanes_[static_cast<size_t>(row) * static_cast<size_t>(params().m) +
                   static_cast<size_t>(col)];
   }
-  const std::vector<RowHashes>& row_hashes() const { return rows_; }
+  const std::vector<RowHashes>& row_hashes() const { return shape_->rows; }
   size_t ByteSize() const {
     return finalized_ ? cells_.size() * sizeof(double)
                       : lanes_.size() * sizeof(int64_t);
@@ -249,23 +280,39 @@ class LdpJoinSketchServer {
   /// Format v2 ("LJS2"): un-finalized sketches carry raw integer lanes, so
   /// serialize → deserialize → merge is bit-exact; finalized sketches carry
   /// the transformed double cells. Pre-v2 buffers (no magic) are rejected
-  /// with a clear Corruption error.
+  /// with a clear Corruption error, and so is any truncation or trailing
+  /// byte. Deserialize builds a fresh shape for the sketch.
   std::vector<uint8_t> Serialize() const;
   static Result<LdpJoinSketchServer> Deserialize(
       std::span<const uint8_t> bytes);
 
+  /// Deserialize against this sketch's shape: the decoded sketch shares it,
+  /// so no table is built, and its lanes or cells are read straight into
+  /// it. A well-formed sketch of another k, m or seed is FailedPrecondition;
+  /// its ε may differ from this one's.
+  Result<LdpJoinSketchServer> DeserializeLike(
+      std::span<const uint8_t> bytes) const;
+
  private:
+  /// A sketch with neither lanes nor cells yet, for Decode to read in.
+  LdpJoinSketchServer(std::shared_ptr<const SketchShape> shape, double epsilon,
+                      uint64_t total, bool finalized);
+
+  /// The body of both: decodes against `like`, or against a fresh shape
+  /// when `like` is null.
+  static Result<LdpJoinSketchServer> Decode(
+      std::span<const uint8_t> bytes, std::shared_ptr<const SketchShape> like);
+
   template <size_t N>
   friend void FrequencyEstimateRun(
       const std::array<const LdpJoinSketchServer*, N>& sketches,
       uint64_t first, uint64_t n, const std::array<double*, N>& out);
 
-  SketchParams params_;
+  std::shared_ptr<const SketchShape> shape_;
   double epsilon_;
   double c_eps_;
   uint64_t total_ = 0;
   bool finalized_ = false;
-  std::vector<RowHashes> rows_;
   std::vector<int64_t> lanes_;  // row-major k x m; raw votes until Finalize
   std::vector<double> cells_;   // row-major k x m; populated by Finalize
 };
@@ -275,7 +322,7 @@ class LdpJoinSketchServer {
 inline constexpr uint64_t kEstimateRunKeys = kTabulationWindowKeys;
 
 /// Theorem 7's f̂ at the n consecutive keys first, ..., first + n - 1 for N
-/// finalized sketches sharing k, m and the hash seed: out[s][i] equals
+/// finalized sketches of the same shape: out[s][i] equals
 /// sketches[s]->FrequencyEstimate(first + i) bit for bit. The run goes one
 /// 256-aligned window at a time; within a window the rows run outside and
 /// the keys inside, one row's (bucket, sign) serves all N sketches, and each

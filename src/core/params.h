@@ -1,7 +1,10 @@
-// Shared parameter structs for the core protocols.
+// Shared parameter structs for the core protocols, and the one rule for
+// which LDPJoinSketch sketches may be joined (SameShape) or merged
+// (Mergeable).
 #ifndef LDPJS_CORE_PARAMS_H_
 #define LDPJS_CORE_PARAMS_H_
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 
@@ -29,8 +32,9 @@ inline bool ValidEpsilon(double epsilon) {
   return epsilon > 0.0 && epsilon <= kMaxEpsilon;
 }
 
-/// Shape and hash seed of a private sketch. Two sketches are comparable
-/// (joinable / mergeable) iff all three fields match.
+/// Shape and hash seed of a private sketch: (k, m, seed) fix the k public
+/// hash pairs (h_j, ξ_j). Which sketches may be joined or merged is decided
+/// by SameShape and Mergeable below, and nowhere else.
 struct SketchParams {
   int k = 18;        ///< number of rows (paper: k = 4·log(1/δ))
   int m = 1024;      ///< number of columns; must be a power of two (Hadamard)
@@ -42,6 +46,22 @@ struct SketchParams {
     LDPJS_CHECK(IsPowerOfTwo(static_cast<uint64_t>(m)));
   }
 };
+
+/// Same shape: equal k, m and seed, so two sketches hash every key alike
+/// and their cells line up. Joins and frequency runs need this and accept
+/// any two budgets.
+inline bool SameShape(const SketchParams& a, const SketchParams& b) {
+  return a.k == b.k && a.m == b.m && a.seed == b.seed;
+}
+
+/// Mergeable: same shape and bit-equal ε. Raw lanes are unscaled vote
+/// balances that Finalize scales by one k·c_ε, so lanes collected under two
+/// budgets must never be added.
+inline bool Mergeable(const SketchParams& a, double epsilon_a,
+                      const SketchParams& b, double epsilon_b) {
+  return SameShape(a, b) && std::bit_cast<uint64_t>(epsilon_a) ==
+                                std::bit_cast<uint64_t>(epsilon_b);
+}
 
 /// c_ε = (e^ε + 1) / (e^ε − 1), the randomized-response debias factor.
 /// Requires ValidEpsilon(epsilon).

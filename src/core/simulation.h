@@ -66,6 +66,15 @@ struct SimulationOptions {
   size_t num_threads = 0;   ///< 0 = hardware concurrency
 };
 
+/// The protocol run behind both builders: every value of `column` is
+/// perturbed through `client` (an LdpJoinSketchClient or a FapClient) and
+/// absorbed into shard-local sketches, one per pool thread; the shards are
+/// merged and the result finalized. Every sketch takes the client's shape,
+/// so the run builds no hash table.
+template <typename Client>
+LdpJoinSketchServer RunProtocol(const Column& column, const Client& client,
+                                const SimulationOptions& options);
+
 /// Runs the full LDPJoinSketch protocol over `column`: every value is
 /// perturbed by an O(1) client and absorbed server-side. Returns the
 /// finalized sketch.

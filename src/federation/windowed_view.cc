@@ -101,7 +101,7 @@ LdpJoinSketchServer WindowedView::RawWindow() const {
 
 LdpJoinSketchServer WindowedView::RecomputeRaw() const {
   MutexLock lock(mu_);
-  LdpJoinSketchServer merged(acc_.params(), acc_.epsilon());
+  LdpJoinSketchServer merged(acc_.shape(), acc_.epsilon());
   for (const auto& [id, region] : regions_) {
     for (const auto& [epoch, stored] : region.epochs) {
       if (stored.added) merged.Merge(stored.sketch);

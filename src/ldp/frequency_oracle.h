@@ -16,11 +16,9 @@
 namespace ldpjs {
 
 /// Join-size estimate from two estimated frequency vectors (equal length):
-/// the plain inner product. Negative estimates are kept (unbiasedness); use
-/// `clamp_negative` to zero them first, which trades bias for variance.
+/// the plain inner product. Negative estimates are kept (unbiasedness).
 double JoinSizeFromFrequencies(std::span<const double> freq_a,
-                               std::span<const double> freq_b,
-                               bool clamp_negative = false);
+                               std::span<const double> freq_b);
 
 /// Per-user communication cost in bits for each mechanism (Fig. 7 model).
 struct CommCostModel {

@@ -3,19 +3,15 @@
 #include <cmath>
 
 #include "common/status.h"
+#include "core/params.h"
 
 namespace ldpjs {
 
 double JoinSizeFromFrequencies(std::span<const double> freq_a,
-                               std::span<const double> freq_b,
-                               bool clamp_negative) {
+                               std::span<const double> freq_b) {
   LDPJS_CHECK(freq_a.size() == freq_b.size());
   double acc = 0.0;
-  for (size_t d = 0; d < freq_a.size(); ++d) {
-    const double fa = clamp_negative ? std::max(0.0, freq_a[d]) : freq_a[d];
-    const double fb = clamp_negative ? std::max(0.0, freq_b[d]) : freq_b[d];
-    acc += fa * fb;
-  }
+  for (size_t d = 0; d < freq_a.size(); ++d) acc += freq_a[d] * freq_b[d];
   return acc;
 }
 
@@ -35,7 +31,7 @@ double CommCostModel::HadamardSketchBitsPerUser(int k, int m) {
 
 KrrClient::KrrClient(uint64_t domain, double epsilon) : domain_(domain) {
   LDPJS_CHECK(domain >= 2);
-  LDPJS_CHECK(epsilon > 0.0);
+  LDPJS_CHECK(ValidEpsilon(epsilon));
   const double e = std::exp(epsilon);
   keep_prob_ = e / (e + static_cast<double>(domain) - 1.0);
 }
@@ -52,7 +48,7 @@ uint64_t KrrClient::Perturb(uint64_t value, Xoshiro256& rng) const {
 KrrServer::KrrServer(uint64_t domain, double epsilon)
     : domain_(domain), counts_(domain, 0) {
   LDPJS_CHECK(domain >= 2);
-  LDPJS_CHECK(epsilon > 0.0);
+  LDPJS_CHECK(ValidEpsilon(epsilon));
   const double e = std::exp(epsilon);
   p_ = e / (e + static_cast<double>(domain) - 1.0);
   q_ = (1.0 - p_) / (static_cast<double>(domain) - 1.0);

@@ -18,7 +18,8 @@ namespace ldpjs {
 
 class KrrClient {
  public:
-  /// Mechanism over [0, domain) with privacy budget epsilon > 0.
+  /// Mechanism over [0, domain) with privacy budget epsilon in
+  /// (0, kMaxEpsilon].
   KrrClient(uint64_t domain, double epsilon);
 
   /// Perturbs one private value; the output is safe to release.
@@ -34,6 +35,7 @@ class KrrClient {
 
 class KrrServer {
  public:
+  /// The clients' domain and epsilon, in (0, kMaxEpsilon].
   KrrServer(uint64_t domain, double epsilon);
 
   void Absorb(uint64_t report);

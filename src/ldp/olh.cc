@@ -1,26 +1,31 @@
 #include "ldp/olh.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "core/params.h"
 
 namespace ldpjs {
 
 namespace {
+/// Checks ε here rather than in FlhClient's body: the member initializer
+/// runs this first.
 uint32_t ResolveG(const FlhParams& params) {
+  LDPJS_CHECK(ValidEpsilon(params.epsilon));
   if (params.g != 0) {
     LDPJS_CHECK(params.g >= 2);
-    return params.g;
+    return std::min(params.g, kMaxFlhG);
   }
   const double optimal = std::round(std::exp(params.epsilon) + 1.0);
-  return static_cast<uint32_t>(std::max(2.0, optimal));
+  return static_cast<uint32_t>(
+      std::clamp(optimal, 2.0, static_cast<double>(kMaxFlhG)));
 }
 }  // namespace
 
 FlhClient::FlhClient(const FlhParams& params)
     : params_(params), g_(ResolveG(params)) {
-  LDPJS_CHECK(params.epsilon > 0.0);
   LDPJS_CHECK(params.pool_size >= 1);
   const double e = std::exp(params.epsilon);
   keep_prob_ = e / (e + static_cast<double>(g_) - 1.0);

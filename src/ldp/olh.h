@@ -18,12 +18,20 @@
 
 namespace ldpjs {
 
+/// The largest hash range g FLH uses. The server keeps pool_size · g
+/// counters, so an unbounded OLH-optimal g (e^20 + 1 ≈ 4.85e8) would not
+/// fit in memory. 2^16 leaves g unchanged for every ε ≤ 11, and g-ary
+/// randomized response with keep probability e^ε/(e^ε + g − 1) is ε-LDP
+/// for every g ≥ 2, so the bound costs accuracy, never privacy.
+inline constexpr uint32_t kMaxFlhG = 1u << 16;
+
 struct FlhParams {
-  double epsilon = 1.0;
+  double epsilon = 1.0;  ///< in (0, kMaxEpsilon]
   /// Number of candidate hash functions (FLH heuristic). Larger = closer to
   /// true OLH but slower server-side evaluation.
   uint32_t pool_size = 1024;
-  /// Hash range g; 0 means the OLH-optimal round(e^epsilon + 1).
+  /// Hash range g; 0 means the OLH-optimal round(e^epsilon + 1). Either is
+  /// clamped to kMaxFlhG.
   uint32_t g = 0;
   uint64_t seed = 1;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstring>
 #include <optional>
 #include <thread>
 
@@ -166,14 +165,11 @@ void FrameServer::AcceptLoop() {
 }
 
 bool FrameServer::HelloMatches(const SessionHello& hello) const {
-  // Epsilon compares as bits: the debias scale must match exactly or the
-  // client's flip probability and the server's c_eps disagree.
-  uint64_t theirs = 0, ours = 0;
-  std::memcpy(&theirs, &hello.epsilon, sizeof(theirs));
-  std::memcpy(&ours, &epsilon_, sizeof(ours));
-  return hello.k == static_cast<uint32_t>(params_.k) &&
-         hello.m == static_cast<uint32_t>(params_.m) &&
-         hello.seed == params_.seed && theirs == ours;
+  // A session's reports land in these lanes, so the client's sketch must be
+  // Mergeable with the server's: the casts map every u32 to a distinct int.
+  const SketchParams theirs{static_cast<int>(hello.k),
+                            static_cast<int>(hello.m), hello.seed};
+  return Mergeable(theirs, hello.epsilon, params_, epsilon_);
 }
 
 bool FrameServer::Reply(Connection& conn, NetFrameType type,

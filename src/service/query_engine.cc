@@ -12,26 +12,24 @@ namespace ldpjs {
 
 namespace {
 
-/// Decodes a probe sketch and finalizes it if it arrived as raw lanes —
-/// clients may ship either; the estimate needs finalized cells.
-Result<LdpJoinSketchServer> DecodeProbe(std::span<const uint8_t> bytes) {
-  auto probe = LdpJoinSketchServer::Deserialize(bytes);
-  if (!probe.ok()) return probe.status();
-  if (!probe->finalized()) probe->Finalize();
+/// Finalizes a decoded probe sketch if it arrived as raw lanes — clients
+/// may ship either; the estimate needs finalized cells.
+Result<LdpJoinSketchServer> Finalized(Result<LdpJoinSketchServer> probe) {
+  if (probe.ok() && !probe->finalized()) probe->Finalize();
   return probe;
 }
 
-/// The probe must share the view sketch's shape and hash seed, or the
-/// downstream estimator would abort on its contract checks.
-Status CheckProbeMatches(const LdpJoinSketchServer& view_sketch,
-                         const LdpJoinSketchServer& probe) {
-  if (probe.params().k != view_sketch.params().k ||
-      probe.params().m != view_sketch.params().m ||
-      probe.params().seed != view_sketch.params().seed) {
+/// A join probe decodes against the view's shape, so the estimators' shape
+/// checks hold; its ε may differ. A probe of another k, m or seed is a bad
+/// request, InvalidArgument like every other.
+Result<LdpJoinSketchServer> DecodeJoinProbe(
+    const LdpJoinSketchServer& view_sketch, std::span<const uint8_t> bytes) {
+  auto probe = view_sketch.DeserializeLike(bytes);
+  if (probe.status().code() == StatusCode::kFailedPrecondition) {
     return Status::InvalidArgument(
         "probe sketch params do not match the served view (k/m/seed)");
   }
-  return Status::OK();
+  return Finalized(std::move(probe));
 }
 
 Status CheckRange(uint64_t lo, uint64_t hi) {
@@ -57,9 +55,8 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
 
   switch (request.kind) {
     case QueryKind::kJoinSize: {
-      auto probe = DecodeProbe(request.probe_sketch);
+      auto probe = DecodeJoinProbe(view.sketch, request.probe_sketch);
       if (!probe.ok()) return probe.status();
-      LDPJS_RETURN_IF_ERROR(CheckProbeMatches(view.sketch, *probe));
       response.value = view.sketch.JoinEstimate(*probe);
       break;
     }
@@ -103,7 +100,10 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
         }
         middles.push_back(std::move(*middle));
       }
-      auto probe = DecodeProbe(request.probe_sketch);
+      // The chain's last sketch has its own m and seed by design, so it
+      // decodes against a fresh shape.
+      auto probe =
+          Finalized(LdpJoinSketchServer::Deserialize(request.probe_sketch));
       if (!probe.ok()) return probe.status();
       if (probe->params().k != view.sketch.params().k) {
         return Status::InvalidArgument("multiway probe k mismatch");
@@ -138,9 +138,8 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
     }
     case QueryKind::kPredicateJoin: {
       LDPJS_RETURN_IF_ERROR(CheckRange(request.range_lo, request.range_hi));
-      auto probe = DecodeProbe(request.probe_sketch);
+      auto probe = DecodeJoinProbe(view.sketch, request.probe_sketch);
       if (!probe.ok()) return probe.status();
-      LDPJS_RETURN_IF_ERROR(CheckProbeMatches(view.sketch, *probe));
       response.value = PredicateJoinEstimate(
           view.sketch, *probe, ValueRange{request.range_lo, request.range_hi});
       break;

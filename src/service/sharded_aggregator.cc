@@ -1,7 +1,5 @@
 #include "service/sharded_aggregator.h"
 
-#include <cstring>
-
 #include "common/serialize.h"
 #include "common/thread_pool.h"
 
@@ -10,8 +8,7 @@ namespace ldpjs {
 ShardedAggregator::ShardedAggregator(const SketchParams& params,
                                      double epsilon, size_t num_shards) {
   if (num_shards == 0) num_shards = SharedThreadPool().num_threads();
-  shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i) shards_.emplace_back(params, epsilon);
+  shards_.assign(num_shards, AggregatorShard(params, epsilon));
 }
 
 Status ShardedAggregator::IngestFrame(std::span<const uint8_t> frame) {
@@ -28,22 +25,15 @@ Status ShardedAggregator::IngestFrameToShard(size_t shard,
 
 Result<LdpJoinSketchServer> ShardedAggregator::DecodeCompatibleSketch(
     std::span<const uint8_t> bytes) const {
-  auto pushed = LdpJoinSketchServer::Deserialize(bytes);
+  const LdpJoinSketchServer& mine = shards_[0].sketch();
+  auto pushed = mine.DeserializeLike(bytes);
   if (!pushed.ok()) return pushed.status();
   if (pushed->finalized()) {
     return Status::FailedPrecondition(
         "pushed sketch is finalized: only raw-lane snapshots merge");
   }
-  const LdpJoinSketchServer& mine = shards_[0].sketch();
-  const SketchParams& theirs = pushed->params();
-  // Epsilon compares as bits: mismatched debias scales must never merge.
-  const double e_theirs = pushed->epsilon();
-  const double e_mine = mine.epsilon();
-  uint64_t eps_theirs = 0, eps_mine = 0;
-  std::memcpy(&eps_theirs, &e_theirs, sizeof(eps_theirs));
-  std::memcpy(&eps_mine, &e_mine, sizeof(eps_mine));
-  if (theirs.k != mine.params().k || theirs.m != mine.params().m ||
-      theirs.seed != mine.params().seed || eps_theirs != eps_mine) {
+  if (!Mergeable(pushed->params(), pushed->epsilon(), mine.params(),
+                 mine.epsilon())) {
     return Status::FailedPrecondition(
         "pushed sketch params mismatch: lanes are not mergeable");
   }
@@ -97,9 +87,8 @@ Status ShardedAggregator::IngestFrames(
 }
 
 LdpJoinSketchServer ShardedAggregator::MergeShards() const {
-  LdpJoinSketchServer merged(shards_[0].sketch().params(),
-                             shards_[0].sketch().epsilon());
-  for (const AggregatorShard& shard : shards_) merged.Merge(shard.sketch());
+  LdpJoinSketchServer merged = shards_[0].sketch();
+  for (size_t s = 1; s < shards_.size(); ++s) merged.Merge(shards_[s].sketch());
   return merged;
 }
 

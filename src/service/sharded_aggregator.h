@@ -11,6 +11,10 @@
 //
 // Stream layout: a stream is a concatenation of PutFrame records (u32
 // length + payload), each payload one batch-envelope record ("LJSB").
+//
+// One shape: every shard, every merge and cut, and every pushed snapshot
+// decoded here shares the hash tables of the sketch family the constructor
+// builds, so no request path builds a table.
 #ifndef LDPJS_SERVICE_SHARDED_AGGREGATOR_H_
 #define LDPJS_SERVICE_SHARDED_AGGREGATOR_H_
 
@@ -46,14 +50,14 @@ class ShardedAggregator {
   /// same shard concurrently must serialize themselves.
   Status IngestFrameToShard(size_t shard, std::span<const uint8_t> frame);
 
-  /// Federated path, validation half: deserializes an un-finalized
-  /// raw-lane sketch (a regional epoch snapshot) and checks it is
-  /// mergeable into this aggregator. Rejects corrupt bytes, finalized
-  /// sketches, and any params/epsilon mismatch with a Status *before* any
-  /// lane could be touched. The decoded sketch can then be merged (and
-  /// later subtracted) any number of times without re-validation — the
-  /// central tier decodes once and reuses the sketch for both its shard
-  /// merge and its windowed-view epoch store.
+  /// Federated path, validation half: decodes an un-finalized raw-lane
+  /// sketch (a regional epoch snapshot) against the shards' shape and
+  /// checks it is Mergeable into this aggregator. Rejects corrupt bytes
+  /// (Corruption), and finalized sketches and any k/m/seed/ε mismatch
+  /// (FailedPrecondition), *before* any lane could be touched. The decoded
+  /// sketch can then be merged (and later subtracted) any number of times
+  /// without re-validation — the central tier decodes once and reuses the
+  /// sketch for both its shard merge and its windowed-view epoch store.
   Result<LdpJoinSketchServer> DecodeCompatibleSketch(
       std::span<const uint8_t> bytes) const;
 
@@ -84,8 +88,9 @@ class ShardedAggregator {
   /// length-prefixed frames (a cheap prefix scan), then IngestFrames.
   Status IngestStream(std::span<const uint8_t> stream);
 
-  /// Merges every shard's raw lanes into one un-finalized sketch. Pure
-  /// integer adds — shard order cannot affect the result.
+  /// Merges every shard's raw lanes into one un-finalized sketch: a copy
+  /// of shard 0 plus the others. Pure integer adds — shard order cannot
+  /// affect the result.
   LdpJoinSketchServer MergeShards() const;
 
   /// MergeShards() + the single global Finalize(): the sketch a single-node

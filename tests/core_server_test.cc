@@ -2,10 +2,12 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "core/ldp_join_sketch.h"
 #include "core/simulation.h"
 #include "data/datasets.h"
@@ -229,6 +231,18 @@ TEST(LdpServerTest, DeserializeRejectsCorruptedShape) {
   bytes[m_offset + 3] = 0x80;
   EXPECT_EQ(LdpJoinSketchServer::Deserialize(bytes).status().code(),
             StatusCode::kCorruption);
+  // The largest valid shape over a short body: Corruption before a table or
+  // a lane is allocated for it.
+  bytes = server.Serialize();
+  BinaryWriter largest;
+  largest.PutU32(static_cast<uint32_t>(kMaxSketchRows));
+  largest.PutU32(static_cast<uint32_t>(kMaxSketchColumns));
+  std::copy(largest.buffer().begin(), largest.buffer().end(),
+            bytes.begin() + 4 + 1);  // after magic and version
+  EXPECT_EQ(LdpJoinSketchServer::Deserialize(bytes).status().code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(server.DeserializeLike(bytes).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(LdpServerTest, DeserializeRejectsEpsilonPastTheBound) {
@@ -253,11 +267,24 @@ TEST(LdpServerTest, DeserializeRejectsEpsilonPastTheBound) {
 }
 
 TEST(LdpServerTest, DeserializeRejectsTruncation) {
+  // Every proper prefix of a raw and of a finalized encoding is Corruption,
+  // decoded against a fresh shape or against the sketch's own.
   const SketchParams params = TestParams(2, 64);
   LdpJoinSketchServer server(params, 1.0);
-  auto bytes = server.Serialize();
-  bytes.resize(bytes.size() / 2);
-  EXPECT_FALSE(LdpJoinSketchServer::Deserialize(bytes).ok());
+  server.Absorb(LdpReport{1, 1, 5});
+  for (const bool finalize : {false, true}) {
+    if (finalize) server.Finalize();
+    const std::vector<uint8_t> bytes = server.Serialize();
+    for (size_t n = 0; n < bytes.size(); ++n) {
+      const std::span<const uint8_t> prefix(bytes.data(), n);
+      ASSERT_EQ(LdpJoinSketchServer::Deserialize(prefix).status().code(),
+                StatusCode::kCorruption)
+          << finalize << " " << n;
+      ASSERT_EQ(server.DeserializeLike(prefix).status().code(),
+                StatusCode::kCorruption)
+          << finalize << " " << n;
+    }
+  }
 }
 
 TEST(LdpServerTest, DeserializeRejectsTrailingBytes) {
@@ -268,6 +295,8 @@ TEST(LdpServerTest, DeserializeRejectsTrailingBytes) {
   raw_bytes.push_back(0);
   EXPECT_EQ(LdpJoinSketchServer::Deserialize(raw_bytes).status().code(),
             StatusCode::kCorruption);
+  EXPECT_EQ(raw.DeserializeLike(raw_bytes).status().code(),
+            StatusCode::kCorruption);
   // Finalized encoding.
   LdpJoinSketchServer finalized(params, 1.0);
   finalized.Finalize();
@@ -275,6 +304,84 @@ TEST(LdpServerTest, DeserializeRejectsTrailingBytes) {
   finalized_bytes.push_back(0);
   EXPECT_EQ(LdpJoinSketchServer::Deserialize(finalized_bytes).status().code(),
             StatusCode::kCorruption);
+  EXPECT_EQ(raw.DeserializeLike(finalized_bytes).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(LdpServerTest, SerializedBytesArePinned) {
+  // LJS2 is a file and wire format (spool files, EPOCH_PUSH, SNAPSHOT,
+  // query probes), so CRC32Cs of one raw and one finalized sketch pin its
+  // bytes: files written by earlier builds must still read.
+  const SketchParams params = TestParams(5, 128, 11);
+  LdpJoinSketchClient client(params, 3.0);
+  LdpJoinSketchServer sketch(params, 3.0);
+  Xoshiro256 rng(7);
+  for (uint64_t i = 0; i < 2000; ++i) {
+    sketch.Absorb(client.Perturb(i % 97, rng));
+  }
+  const std::vector<uint8_t> raw = sketch.Serialize();
+  EXPECT_EQ(raw.size(), 5166u);
+  EXPECT_EQ(Crc32c(raw), 0x2093a4a0u);
+  sketch.Finalize();
+  const std::vector<uint8_t> finalized = sketch.Serialize();
+  EXPECT_EQ(finalized.size(), 5166u);
+  EXPECT_EQ(Crc32c(finalized), 0xbfa1a3fcu);
+}
+
+TEST(LdpServerTest, DerivedSketchesShareTheShape) {
+  const SketchParams params = TestParams(4, 128);
+  const LdpJoinSketchClient client(params, 2.0);
+  LdpJoinSketchServer sketch(params, 2.0);
+  Xoshiro256 rng(3);
+  for (uint64_t i = 0; i < 500; ++i) sketch.Absorb(client.Perturb(i % 11, rng));
+  const RowHashes* tables = sketch.row_hashes().data();
+
+  const LdpJoinSketchServer copy = sketch;
+  EXPECT_EQ(copy.row_hashes().data(), tables);
+  auto decoded = sketch.DeserializeLike(sketch.Serialize());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->row_hashes().data(), tables);
+  auto fresh = LdpJoinSketchServer::Deserialize(sketch.Serialize());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_NE(fresh->row_hashes().data(), tables);
+
+  // A move takes the lanes and leaves the source its shape.
+  LdpJoinSketchServer source = sketch;
+  const LdpJoinSketchServer moved = std::move(source);
+  EXPECT_EQ(moved.row_hashes().data(), tables);
+  EXPECT_EQ(source.params().m, params.m);  // NOLINT(bugprone-use-after-move)
+
+  // A protocol run's shard sketches and result take the client's shape.
+  const JoinWorkload w = MakeZipfWorkload(1.1, 1000, 20000, 5);
+  SimulationOptions sim;
+  sim.num_threads = 3;
+  const LdpJoinSketchServer built = RunProtocol(w.table_a, client, sim);
+  EXPECT_EQ(built.row_hashes().data(), client.row_hashes().data());
+  EXPECT_EQ(built.total_reports(), 20000u);
+}
+
+TEST(LdpServerTest, DeserializeLikeChecksTheShapeNotTheBudget) {
+  const SketchParams params = TestParams(4, 128, 9);
+  const LdpJoinSketchServer like(params, 2.0);
+  for (const SketchParams& other :
+       {TestParams(5, 128, 9), TestParams(4, 256, 9), TestParams(4, 128, 10)}) {
+    const LdpJoinSketchServer sketch(other, 2.0);
+    EXPECT_EQ(like.DeserializeLike(sketch.Serialize()).status().code(),
+              StatusCode::kFailedPrecondition)
+        << other.k << " " << other.m << " " << other.seed;
+  }
+  const LdpJoinSketchClient client(params, 3.0);
+  LdpJoinSketchServer budget(params, 3.0);
+  Xoshiro256 rng(4);
+  for (uint64_t i = 0; i < 300; ++i) budget.Absorb(client.Perturb(i % 7, rng));
+  for (const bool finalize : {false, true}) {
+    if (finalize) budget.Finalize();
+    auto decoded = like.DeserializeLike(budget.Serialize());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->epsilon(), 3.0);
+    EXPECT_EQ(decoded->finalized(), finalize);
+    EXPECT_EQ(decoded->Serialize(), budget.Serialize());
+  }
 }
 
 TEST(LdpServerTest, EstimateAllFrequenciesMatchesPointQueries) {
@@ -308,6 +415,14 @@ TEST(LdpServerDeathTest, LifecycleViolationsAbort) {
   EXPECT_DEATH(server.Merge(other), "LDPJS_CHECK failed");
   // Double finalize.
   EXPECT_DEATH(server.Finalize(), "LDPJS_CHECK failed");
+}
+
+TEST(LdpServerDeathTest, MergeAcrossBudgetsAborts) {
+  // Same k, m and seed, another ε: the lanes would carry two debias scales.
+  LdpJoinSketchServer a(TestParams(2, 64), 1.0);
+  LdpJoinSketchServer b(TestParams(2, 64), 2.0);
+  EXPECT_DEATH(a.Merge(b), "LDPJS_CHECK failed");
+  EXPECT_DEATH(a.SubtractRaw(b), "LDPJS_CHECK failed");
 }
 
 TEST(LdpServerDeathTest, JoinAcrossSeedsAborts) {

@@ -128,6 +128,13 @@ TEST(CoreSubtractTest, ShardedAggregatorMergeRawSketch) {
   aggregator.MergeRawSketch(0, *decoded_a);
   aggregator.MergeRawSketch(2, *decoded_b);
   EXPECT_EQ(aggregator.reports_ingested(), 5000u);
+  // One shape: the shards, each decoded push and each merge share the hash
+  // tables the constructor built.
+  const RowHashes* tables = aggregator.shard(0).sketch().row_hashes().data();
+  EXPECT_EQ(aggregator.shard(2).sketch().row_hashes().data(), tables);
+  EXPECT_EQ(decoded_a->row_hashes().data(), tables);
+  EXPECT_EQ(aggregator.MergeShards().row_hashes().data(), tables);
+  EXPECT_EQ(aggregator.Finalize().row_hashes().data(), tables);
   LdpJoinSketchServer both = epoch_a;
   both.Merge(epoch_b);
   EXPECT_EQ(aggregator.MergeShards().Serialize(), both.Serialize());

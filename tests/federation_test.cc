@@ -250,6 +250,14 @@ TEST(FederationTest, CorruptOrMismatchedPushesRejected) {
     EXPECT_FALSE(pushed.ok());
     EXPECT_EQ(pushed.status().code(), StatusCode::kFailedPrecondition);
   }
+  {  // Same shape, another ε: lanes of two budgets must never merge.
+    LdpJoinSketchServer other_budget(params, 2 * epsilon);
+    auto sender =
+        FrameSender::Connect("127.0.0.1", central.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok());
+    auto pushed = sender->PushEpochSnapshot(1, 0, other_budget.Serialize());
+    EXPECT_EQ(pushed.status().code(), StatusCode::kFailedPrecondition);
+  }
 
   // The central still takes a well-formed push afterwards.
   LdpJoinSketchClient client(params, epsilon);

@@ -296,6 +296,8 @@ TEST(FederationWindowedTest, FinalizedViewCachesUntilDirty) {
   epoch0.AbsorbBatch(PerturbColumn(client, 3000, 80));
   LdpJoinSketchServer epoch0_consumed = epoch0;
   view.OnEpochApplied(0, 0, &epoch0_consumed);
+  // The store took the lanes; the moved-from snapshot keeps its shape.
+  EXPECT_EQ(epoch0_consumed.params().k, params.k);
 
   const LdpJoinSketchServer first_read = view.Published()->sketch;
   const LdpJoinSketchServer second_read = view.Published()->sketch;  // cached
@@ -303,6 +305,9 @@ TEST(FederationWindowedTest, FinalizedViewCachesUntilDirty) {
   LdpJoinSketchServer fresh = view.RawWindow();
   fresh.Finalize();
   EXPECT_EQ(first_read.Serialize(), fresh.Serialize());
+  // A publish copies the accumulator, so it shares its hash tables.
+  EXPECT_EQ(view.Published()->sketch.row_hashes().data(),
+            fresh.row_hashes().data());
 
   LdpJoinSketchServer epoch1(params, epsilon);
   epoch1.AbsorbBatch(PerturbColumn(client, 4000, 81));

@@ -113,6 +113,12 @@ TEST(KrrDeathTest, NonPositiveEpsilonAborts) {
   EXPECT_DEATH(KrrClient(10, 0.0), "LDPJS_CHECK failed");
 }
 
+TEST(KrrDeathTest, EpsilonPastTheBoundAborts) {
+  // Past ε ≈ 709.78 e^ε overflows and every estimate is NaN.
+  EXPECT_DEATH(KrrClient(10, 800.0), "LDPJS_CHECK failed");
+  EXPECT_DEATH(KrrServer(10, 800.0), "LDPJS_CHECK failed");
+}
+
 TEST(CommCostTest, ModelsAreMonotone) {
   EXPECT_EQ(CommCostModel::KrrBitsPerUser(1024), 10.0);
   EXPECT_GT(CommCostModel::KrrBitsPerUser(1 << 20),
@@ -122,11 +128,10 @@ TEST(CommCostTest, ModelsAreMonotone) {
   EXPECT_EQ(CommCostModel::FlhBitsPerUser(1024, 64), 10 + 6);
 }
 
-TEST(JoinFromFrequenciesTest, ClampZerosNegatives) {
+TEST(JoinFromFrequenciesTest, KeepsNegativeEstimates) {
   std::vector<double> fa{-5.0, 2.0};
   std::vector<double> fb{3.0, 4.0};
-  EXPECT_EQ(JoinSizeFromFrequencies(fa, fb, false), -15.0 + 8.0);
-  EXPECT_EQ(JoinSizeFromFrequencies(fa, fb, true), 8.0);
+  EXPECT_EQ(JoinSizeFromFrequencies(fa, fb), -15.0 + 8.0);
 }
 
 }  // namespace

@@ -10,10 +10,30 @@ namespace ldpjs {
 namespace {
 
 TEST(FlhTest, DefaultGIsOlhOptimal) {
+  // The figures sweep ε ≤ 10, where kMaxFlhG leaves g unchanged.
+  for (const double epsilon : {3.0, 4.0, 10.0}) {
+    FlhParams params;
+    params.epsilon = epsilon;
+    FlhClient client(params);
+    EXPECT_EQ(client.g(),
+              static_cast<uint32_t>(std::round(std::exp(epsilon) + 1.0)))
+        << epsilon;
+  }
+}
+
+TEST(FlhTest, HugeEpsilonClampsG) {
+  // The OLH-optimal g at ε = 20 is ≈ 4.85e8: pool_size · g counters would
+  // not fit in memory.
   FlhParams params;
-  params.epsilon = 3.0;
-  FlhClient client(params);
-  EXPECT_EQ(client.g(), static_cast<uint32_t>(std::round(std::exp(3.0) + 1.0)));
+  params.epsilon = 20.0;
+  params.pool_size = 16;
+  EXPECT_EQ(FlhClient(params).g(), kMaxFlhG);
+  const Column c(std::vector<uint64_t>(5000, 1), 100);
+  const auto est = FlhEstimateFrequencies(c, params, 7);
+  for (const double f : est) ASSERT_TRUE(std::isfinite(f));
+  EXPECT_NEAR(est[1] / 5000.0, 1.0, 0.05);
+  params.g = 1u << 20;
+  EXPECT_EQ(FlhClient(params).g(), kMaxFlhG);
 }
 
 TEST(FlhTest, SmallEpsilonClampsGToTwo) {
@@ -109,6 +129,14 @@ TEST(FlhDeathTest, InvalidGAborts) {
   params.epsilon = 1.0;
   params.g = 1;
   EXPECT_DEATH(FlhClient{params}, "LDPJS_CHECK failed");
+}
+
+TEST(FlhDeathTest, EpsilonPastTheBoundAborts) {
+  FlhParams params;
+  params.epsilon = 800.0;
+  params.pool_size = 4;
+  EXPECT_DEATH(FlhClient{params}, "LDPJS_CHECK failed");
+  EXPECT_DEATH(FlhServer{params}, "LDPJS_CHECK failed");
 }
 
 }  // namespace

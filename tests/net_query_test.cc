@@ -464,6 +464,26 @@ TEST(NetQueryTest, HostileQueryPayloadsDegradeCleanlyAndNeverStallFinalize) {
   EXPECT_EQ(metrics.query_frames, 3u);
 }
 
+// A join probe decodes against the view's shape, and only its shape must
+// match: a probe collected under another ε is answered, exactly as
+// JoinEstimate answers it in process.
+TEST(NetQueryTest, JoinProbeOfAnotherBudgetIsAnswered) {
+  const SketchParams params = TestParams();
+  LdpJoinSketchServer sketch(params, 2.0);
+  sketch.AbsorbBatch(MethodReports(params, 2.0, /*fap=*/false, 3000, 8));
+  sketch.Finalize();
+  const PublishedView view(1, /*aligned=*/false, /*epoch=*/0, sketch);
+  QueryRequest join;
+  join.kind = QueryKind::kJoinSize;
+  join.probe_sketch = RawProbeBytes(params, 3.0, 2000, 9);
+  auto answer = AnswerQuery(view, join);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  auto probe = LdpJoinSketchServer::Deserialize(join.probe_sketch);
+  ASSERT_TRUE(probe.ok());
+  probe->Finalize();
+  EXPECT_EQ(Bits(answer->value), Bits(sketch.JoinEstimate(*probe)));
+}
+
 // Regression: a peer caught mid-send on an oversized QUERY frame used to
 // park forever — the server sent ERROR and left the reader loop, but only
 // marked the connection for reaping (which needs a later accept or reader
