@@ -1,5 +1,6 @@
 #include "common/serialize.h"
 
+#include <algorithm>
 #include <bit>
 
 namespace ldpjs {
@@ -35,9 +36,15 @@ void StoreLe64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
 
+/// On a little-endian host the wire order is the native order, so a value
+/// is one unaligned load; elsewhere it is assembled byte by byte.
 uint64_t LoadLe64(const uint8_t* p) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(v));
+  } else {
+    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
+  }
   return v;
 }
 
@@ -111,13 +118,11 @@ Result<std::vector<double>> BinaryReader::GetDoubleVector() {
   auto count = BinaryReader(*this).GetU64();
   if (!count.ok()) return count.status();
   std::vector<double> out;
-  LDPJS_RETURN_IF_ERROR(GetVector64(*count, out));
+  LDPJS_RETURN_IF_ERROR(GetDoubleVector(*count, out));
   return out;
 }
 
-template <typename T>
-Status BinaryReader::GetVector64(uint64_t count, std::vector<T>& out) {
-  static_assert(sizeof(T) == 8);
+Result<const uint8_t*> BinaryReader::GetVectorValues(uint64_t count) {
   auto prefix = GetU64();
   if (!prefix.ok()) return prefix.status();
   if (*prefix != count) {
@@ -128,16 +133,58 @@ Status BinaryReader::GetVector64(uint64_t count, std::vector<T>& out) {
     return Status::Corruption("vector length exceeds buffer");
   }
   const uint8_t* in = data_.data() + pos_;
+  pos_ += 8 * count;
+  return in;
+}
+
+Status BinaryReader::GetDoubleVector(uint64_t count, std::vector<double>& out) {
+  auto in = GetVectorValues(count);
+  if (!in.ok()) return in.status();
   out.resize(count);
   for (size_t i = 0; i < out.size(); ++i) {
-    out[i] = std::bit_cast<T>(LoadLe64(in + 8 * i));
+    out[i] = std::bit_cast<double>(LoadLe64(*in + 8 * i));
   }
-  pos_ += 8 * out.size();
   return Status::OK();
 }
 
-template Status BinaryReader::GetVector64(uint64_t, std::vector<double>&);
-template Status BinaryReader::GetVector64(uint64_t, std::vector<int64_t>&);
+Status BinaryReader::GetLaneVector(uint64_t count, uint64_t max_l1,
+                                   std::vector<int64_t>& out) {
+  auto in = GetVectorValues(count);
+  if (!in.ok()) return in.status();
+  out.resize(count);
+  const auto magnitude = [](int64_t value) {
+    const uint64_t sign = static_cast<uint64_t>(value >> 63);
+    return (static_cast<uint64_t>(value) ^ sign) - sign;  // 2^63 for INT64_MIN
+  };
+  // A block of 2^20 values that are all below 2^44 sums in one uint64_t
+  // without wrapping, in a loop the compiler vectorizes. A block holding a
+  // larger value (past 2^44 reports, or forged) adds one value at a time.
+  const auto exceeded = [max_l1] {
+    return Status::Corruption("lane vector's L1 norm exceeds " +
+                              std::to_string(max_l1));
+  };
+  constexpr size_t kBlock = size_t{1} << 20;
+  uint64_t l1 = 0;  // never above max_l1
+  for (size_t at = 0; at < out.size(); at += kBlock) {
+    const size_t end = std::min(out.size(), at + kBlock);
+    uint64_t sum = 0, bits = 0;
+    for (size_t i = at; i < end; ++i) {
+      out[i] = static_cast<int64_t>(LoadLe64(*in + 8 * i));
+      sum += magnitude(out[i]);
+      bits |= magnitude(out[i]);
+    }
+    if (bits >> 44 == 0) {
+      if (sum > max_l1 - l1) return exceeded();
+      l1 += sum;
+      continue;
+    }
+    for (size_t i = at; i < end; ++i) {
+      if (magnitude(out[i]) > max_l1 - l1) return exceeded();
+      l1 += magnitude(out[i]);
+    }
+  }
+  return Status::OK();
+}
 
 Result<std::span<const uint8_t>> BinaryReader::GetRaw(size_t n) {
   LDPJS_RETURN_IF_ERROR(Need(n));

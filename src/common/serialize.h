@@ -61,12 +61,14 @@ class BinaryReader {
   Result<double> GetDouble();
   /// Reads a PutDoubleVector record of any length.
   Result<std::vector<double>> GetDoubleVector();
-  /// Reads a PutDoubleVector / PutI64Vector record that must hold exactly
-  /// `count` values into `out`, replacing its contents: one length check,
-  /// one bounds check, then one little-endian loop. Corruption otherwise.
-  /// Defined for T = double and T = int64_t.
-  template <typename T>
-  Status GetVector64(uint64_t count, std::vector<T>& out);
+  /// Reads a PutDoubleVector record that must hold exactly `count` values
+  /// into `out`, replacing its contents: one length check, one bounds check,
+  /// then one little-endian load per value. Corruption otherwise.
+  Status GetDoubleVector(uint64_t count, std::vector<double>& out);
+  /// The same for a PutI64Vector record of raw sketch lanes, whose L1 norm
+  /// is bounded in that one pass: Corruption when Σ|value| exceeds `max_l1`.
+  Status GetLaneVector(uint64_t count, uint64_t max_l1,
+                       std::vector<int64_t>& out);
   /// Bounds-checks and consumes the next `n` bytes, returning a zero-copy
   /// view into the underlying buffer (valid while the buffer lives). This is
   /// the batch-decode primitive: one check up front instead of one per field.
@@ -79,6 +81,9 @@ class BinaryReader {
 
  private:
   Status Need(size_t n);
+  /// Consumes a vector record's u64 count, which must equal `count`, and
+  /// its 8·count value bytes, returning where those start.
+  Result<const uint8_t*> GetVectorValues(uint64_t count);
 
   std::span<const uint8_t> data_;
   size_t pos_ = 0;

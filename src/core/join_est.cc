@@ -24,12 +24,10 @@ double NonTargetMass(const JoinEstSide& side, FapMode mode,
 double JoinEst(const JoinEstSide& side_a, const JoinEstSide& side_b,
                FapMode mode, const JoinEstOptions& options) {
   LDPJS_CHECK(side_a.sketch != nullptr && side_b.sketch != nullptr);
-  LDPJS_CHECK(side_a.sketch->finalized() && side_b.sketch->finalized());
-  LdpJoinSketchServer ma = *side_a.sketch;
-  LdpJoinSketchServer mb = *side_b.sketch;
-  ma.SubtractUniformMass(NonTargetMass(side_a, mode, options));
-  mb.SubtractUniformMass(NonTargetMass(side_b, mode, options));
-  return ma.JoinEstimate(mb);
+  const double m = static_cast<double>(side_a.sketch->params().m);
+  return side_a.sketch->JoinEstimate(*side_b.sketch,
+                                     NonTargetMass(side_a, mode, options) / m,
+                                     NonTargetMass(side_b, mode, options) / m);
 }
 
 }  // namespace ldpjs

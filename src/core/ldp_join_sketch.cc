@@ -40,6 +40,15 @@ void SubLanes(int64_t* __restrict dst, const int64_t* __restrict src,
   for (size_t i = 0; i < n; ++i) dst[i] -= src[i];
 }
 
+/// ⟨a, b⟩ over n lanes, accumulated in Acc. The caller picks an Acc that
+/// holds every partial sum, so the result is exact.
+template <typename Acc>
+Acc LaneDot(const int64_t* a, const int64_t* b, size_t n) {
+  Acc acc = 0;
+  for (size_t i = 0; i < n; ++i) acc += static_cast<Acc>(a[i]) * b[i];
+  return acc;
+}
+
 /// Validates `params` and builds its hash tables: the one place the
 /// LDPJoinSketch family calls MakeRowHashes.
 std::shared_ptr<const SketchShape> MakeSketchShape(const SketchParams& params) {
@@ -304,27 +313,35 @@ void LdpJoinSketchServer::Finalize() {
       FastWalshHadamardTransform(std::span<double>(cell_row, m));
     }
   });
-  lanes_.clear();
-  lanes_.shrink_to_fit();
   finalized_ = true;
 }
 
-double LdpJoinSketchServer::JoinEstimate(
-    const LdpJoinSketchServer& other) const {
-  LDPJS_CHECK(finalized_ && other.finalized_);
+double LdpJoinSketchServer::JoinEstimate(const LdpJoinSketchServer& other,
+                                         double shift,
+                                         double other_shift) const {
+  LDPJS_CHECK(!lanes_.empty() && !other.lanes_.empty());
   LDPJS_CHECK(SameShape(params(), other.params()));
   const size_t m = static_cast<size_t>(params().m);
   const size_t rows = static_cast<size_t>(params().k);
+  const double s = static_cast<double>(params().k) * c_eps_;
+  const double s_other = static_cast<double>(params().k) * other.c_eps_;
+  const double scale = s * s_other;
+  // Every partial sum is at most Σ|a|·max|b| <= n·n' (L1 norm <= reports).
+  const bool fits_int64 =
+      total_ == 0 || other.total_ <= uint64_t{INT64_MAX} / total_;
   std::vector<double> estimators(rows);
-  SharedParallelFor(rows, cells_.size(), [&](size_t, size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      const double* a = cells_.data() + j * m;
-      const double* b = other.cells_.data() + j * m;
-      double acc = 0.0;
-      for (size_t x = 0; x < m; ++x) acc += a[x] * b[x];
-      estimators[j] = acc;
-    }
-  });
+  for (size_t j = 0; j < rows; ++j) {
+    const int64_t* a = lanes_.data() + j * m;
+    const int64_t* b = other.lanes_.data() + j * m;
+    const double dot = fits_int64
+                           ? static_cast<double>(LaneDot<int64_t>(a, b, m))
+                           : static_cast<double>(LaneDot<__int128>(a, b, m));
+    const double inner = scale * dot -
+                         s * other_shift * static_cast<double>(a[0]) -
+                         s_other * shift * static_cast<double>(b[0]) +
+                         shift * other_shift;
+    estimators[j] = static_cast<double>(m) * inner;
+  }
   return Median(estimators);
 }
 
@@ -408,13 +425,16 @@ std::vector<double> LdpJoinSketchServer::EstimateAllFrequencies(
   return out;
 }
 
-void LdpJoinSketchServer::SubtractUniformMass(double total_mass) {
-  LDPJS_CHECK(finalized_);
-  const double per_cell = total_mass / static_cast<double>(params().m);
-  for (double& cell_value : cells_) cell_value -= per_cell;
+std::vector<uint8_t> LdpJoinSketchServer::Serialize() const {
+  return Encode(finalized_);
 }
 
-std::vector<uint8_t> LdpJoinSketchServer::Serialize() const {
+std::vector<uint8_t> LdpJoinSketchServer::SerializeRaw() const {
+  LDPJS_CHECK(!lanes_.empty());
+  return Encode(false);
+}
+
+std::vector<uint8_t> LdpJoinSketchServer::Encode(bool cells) const {
   BinaryWriter writer;
   writer.PutU32(kSketchMagic);
   writer.PutU8(kSketchVersion);
@@ -423,8 +443,8 @@ std::vector<uint8_t> LdpJoinSketchServer::Serialize() const {
   writer.PutU64(params().seed);
   writer.PutDouble(epsilon_);
   writer.PutU64(total_);
-  writer.PutU8(finalized_ ? 1 : 0);
-  if (finalized_) {
+  writer.PutU8(cells ? 1 : 0);
+  if (cells) {
     writer.PutDoubleVector(cells_);
   } else {
     writer.PutI64Vector(lanes_);
@@ -442,8 +462,8 @@ Result<LdpJoinSketchServer> LdpJoinSketchServer::DeserializeLike(
   return Decode(bytes, shape_);
 }
 
-Result<LdpJoinSketchServer> LdpJoinSketchServer::Decode(
-    std::span<const uint8_t> bytes, std::shared_ptr<const SketchShape> like) {
+Result<LdpJoinSketchServer::Header> LdpJoinSketchServer::ReadHeader(
+    std::span<const uint8_t> bytes) {
   BinaryReader reader(bytes);
   auto magic = reader.GetU32();
   if (!magic.ok()) return magic.status();
@@ -477,24 +497,39 @@ Result<LdpJoinSketchServer> LdpJoinSketchServer::Decode(
   }
   if (!ValidEpsilon(*epsilon)) return Status::Corruption("invalid epsilon");
   // The rest is a count prefix and k·m values, with no trailing byte. This
-  // is checked before a fresh shape is built, so a short buffer cannot make
+  // is checked before a caller builds a shape, so a short buffer cannot make
   // the decoder build k rows of hash tables.
   const uint64_t values = static_cast<uint64_t>(*k) * *m;
   if (reader.remaining() != 8 * (values + 1)) {
     return Status::Corruption("sketch body does not match its shape");
   }
-  const SketchParams params{static_cast<int>(*k), static_cast<int>(*m), *seed};
+  return Header{
+      SketchParams{static_cast<int>(*k), static_cast<int>(*m), *seed},
+      *epsilon, *total, *finalized != 0};
+}
+
+Result<LdpJoinSketchServer> LdpJoinSketchServer::Decode(
+    std::span<const uint8_t> bytes, std::shared_ptr<const SketchShape> like) {
+  auto header = ReadHeader(bytes);
+  if (!header.ok()) return header.status();
   if (like == nullptr) {
-    like = MakeSketchShape(params);
-  } else if (!SameShape(params, like->params)) {
+    like = MakeSketchShape(header->params);
+  } else if (!SameShape(header->params, like->params)) {
     return Status::FailedPrecondition(
         "sketch shape (k, m, seed) differs from the sketch it decodes against");
   }
-  LdpJoinSketchServer sketch(std::move(like), *epsilon, *total,
-                             *finalized != 0);
-  LDPJS_RETURN_IF_ERROR(sketch.finalized_
-                            ? reader.GetVector64(values, sketch.cells_)
-                            : reader.GetVector64(values, sketch.lanes_));
+  LdpJoinSketchServer sketch(std::move(like), header->epsilon, header->total,
+                             header->finalized);
+  const uint64_t values = static_cast<uint64_t>(header->params.k) *
+                          static_cast<uint64_t>(header->params.m);
+  BinaryReader body(bytes.subspan(bytes.size() - 8 * (values + 1)));
+  // Each report moves one lane by ±1, so honest lanes have an L1 norm of at
+  // most the report count. JoinEstimate's exact dot relies on that bound,
+  // and a header can lie.
+  LDPJS_RETURN_IF_ERROR(
+      sketch.finalized_
+          ? body.GetDoubleVector(values, sketch.cells_)
+          : body.GetLaneVector(values, sketch.total_, sketch.lanes_));
   return sketch;
 }
 

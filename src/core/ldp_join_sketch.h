@@ -13,6 +13,11 @@
 // sketch in expectation (Theorem 2), so the join size is the median row
 // inner product (Eq. 5) and frequencies follow Theorem 7.
 //
+// Joins read the lanes, not the cells. A finalized row is
+// M[j] = k·c_ε·lanes[j]·H_m, and the Sylvester H_m is symmetric with
+// H_m·H_m = m·I, so ⟨M_a[j], M_b[j]⟩ = (k·c_a)(k·c_b)·m·⟨lanes_a[j],
+// lanes_b[j]⟩ exactly: an integer dot that needs no transform.
+//
 // Domain-wide f̂ (Theorem 7 at every key of a range or of the whole domain)
 // goes through one kernel, FrequencyEstimateRun: rows outside, the run's
 // keys inside, each row hashed once per run with RowHashes::ForEachInRun,
@@ -34,8 +39,9 @@
 // are pure integer adds (memory-bound, exact, order-independent), and the
 // k·c_ε scale is applied exactly once in Finalize, right before the row
 // transforms. Every pre-finalize representation — in memory, merged, or
-// serialized — is raw lanes; every post-finalize query sees the same
-// debias-scaled double cells the paper's pseudo-code produces.
+// serialized — is raw lanes. Finalize keeps the lanes, for joins, and adds
+// the debias-scaled double cells the paper's pseudo-code produces, which
+// frequency, range and predicate queries read.
 #ifndef LDPJS_CORE_LDP_JOIN_SKETCH_H_
 #define LDPJS_CORE_LDP_JOIN_SKETCH_H_
 
@@ -216,18 +222,32 @@ class LdpJoinSketchServer {
   /// Zeroes every raw lane and the report count, starting a fresh epoch in
   /// place (the multi-epoch cut: serialize the lanes, ship them, reset).
   /// Cheaper than reconstructing the sketch — the hash tables are reused.
-  /// Only valid before Finalize (finalization releases the lanes).
+  /// Only valid before Finalize (the cells would no longer match the lanes).
   void ResetLanes();
 
   /// Applies the deferred k·c_ε debias scale, then rotates every row back
-  /// by H_m (Algorithm 2 line 6). Rows transform in parallel. Idempotent
-  /// queries only after this.
+  /// by H_m (Algorithm 2 line 6) into the cells. Rows transform in
+  /// parallel. The lanes stay: joins read them. Frequency, range and
+  /// predicate queries need the cells, so only after this.
   void Finalize();
 
-  /// Eq. 5: median over rows of the row inner products. Both sketches must
-  /// be finalized and have the same shape; their ε may differ. Rows run in
-  /// parallel.
-  double JoinEstimate(const LdpJoinSketchServer& other) const;
+  /// Eq. 5 on the lanes: the median over rows j of s·s'·m·dot_j, with
+  /// s = k·c_ε and dot_j = ⟨lanes[j], lanes'[j]⟩ (see the file comment).
+  /// Both sketches must hold lanes and have the same shape; their ε may
+  /// differ, and neither needs to be finalized. A sketch decoded from the
+  /// finalized encoding holds only cells, so it cannot be joined.
+  ///
+  /// `shift` (u) and `other_shift` (u') first lower every cell of this
+  /// sketch and of `other`: Theorem 8's uniform subtraction (JoinEst).
+  /// H_m's first column is all ones, so M[j] − u·1 = H_m·(s·lanes[j] −
+  /// u·e_0), and row j is
+  ///   m·(s·s'·dot_j − s·u'·lanes[j, 0] − s'·u·lanes'[j, 0] + u·u').
+  /// dot_j is exact. Each report moves one lane by ±1, so a lane vector's
+  /// L1 norm is at most its report count n (the decoder refuses one that
+  /// is not), and every partial sum is bounded by n·n': the dot runs in
+  /// int64 when n·n' fits and in __int128 otherwise, on the calling thread.
+  double JoinEstimate(const LdpJoinSketchServer& other, double shift = 0.0,
+                      double other_shift = 0.0) const;
 
   /// Theorem 5: with probability >= 1 - exp(-k/4), the join estimate is
   /// within  (4/sqrt(m)) · (F1(A) + (k·c_ε²-1)/2) · (F1(B) + (k·c_ε²-1)/2)
@@ -242,10 +262,6 @@ class LdpJoinSketchServer {
   /// FrequencyEstimate: FrequencyEstimateRun over shards of the domain on
   /// the process thread pool.
   std::vector<double> EstimateAllFrequencies(uint64_t domain) const;
-
-  /// Subtracts `total_mass / m` from every cell — removes the expected
-  /// contribution of `total_mass` non-target FAP reports (Theorem 8).
-  void SubtractUniformMass(double total_mass);
 
   const SketchParams& params() const { return shape_->params; }
   const std::shared_ptr<const SketchShape>& shape() const { return shape_; }
@@ -263,26 +279,34 @@ class LdpJoinSketchServer {
     return static_cast<double>(params().k) * c_eps_ *
            static_cast<double>(lanes_[idx]);
   }
-  /// Raw ±1 vote balance of a cell; ingestion-side state, so only valid
-  /// before Finalize (the lanes are released by it).
+  /// Raw ±1 vote balance of a cell. Valid whenever the sketch holds lanes:
+  /// always, except for a sketch decoded from the finalized encoding.
   int64_t lane(int row, int col) const {
-    LDPJS_CHECK(!finalized_);
+    LDPJS_CHECK(!lanes_.empty());
     return lanes_[static_cast<size_t>(row) * static_cast<size_t>(params().m) +
                   static_cast<size_t>(col)];
   }
   const std::vector<RowHashes>& row_hashes() const { return shape_->rows; }
-  size_t ByteSize() const {
-    return finalized_ ? cells_.size() * sizeof(double)
-                      : lanes_.size() * sizeof(int64_t);
-  }
+
+  /// What an LJS2 buffer declares ahead of its k·m values.
+  struct Header {
+    SketchParams params;
+    double epsilon;
+    uint64_t total;
+    bool finalized;  ///< the values are cells, not lanes
+  };
 
   /// Binary round trip (aggregator persistence / cross-process shipping).
   /// Format v2 ("LJS2"): un-finalized sketches carry raw integer lanes, so
   /// serialize → deserialize → merge is bit-exact; finalized sketches carry
   /// the transformed double cells. Pre-v2 buffers (no magic) are rejected
   /// with a clear Corruption error, and so is any truncation or trailing
-  /// byte. Deserialize builds a fresh shape for the sketch.
+  /// byte, and raw lanes whose L1 norm exceeds the declared report count.
+  /// Deserialize builds a fresh shape for the sketch.
   std::vector<uint8_t> Serialize() const;
+  /// The raw encoding of the lanes, which a finalized sketch keeps: the
+  /// bytes Serialize() wrote before Finalize.
+  std::vector<uint8_t> SerializeRaw() const;
   static Result<LdpJoinSketchServer> Deserialize(
       std::span<const uint8_t> bytes);
 
@@ -292,6 +316,12 @@ class LdpJoinSketchServer {
   /// its ε may differ from this one's.
   Result<LdpJoinSketchServer> DeserializeLike(
       std::span<const uint8_t> bytes) const;
+
+  /// The one LJS2 header reader, which both decoders use: checks the magic,
+  /// version, shape and ε, and that exactly k·m values follow with no
+  /// trailing byte. Builds nothing, so a caller can vet a header against
+  /// what it expects before any hash table exists. Corruption otherwise.
+  static Result<Header> ReadHeader(std::span<const uint8_t> bytes);
 
  private:
   /// A sketch with neither lanes nor cells yet, for Decode to read in.
@@ -303,6 +333,9 @@ class LdpJoinSketchServer {
   static Result<LdpJoinSketchServer> Decode(
       std::span<const uint8_t> bytes, std::shared_ptr<const SketchShape> like);
 
+  /// The LJS2 encoding, of the cells when `cells` and else of the lanes.
+  std::vector<uint8_t> Encode(bool cells) const;
+
   template <size_t N>
   friend void FrequencyEstimateRun(
       const std::array<const LdpJoinSketchServer*, N>& sketches,
@@ -313,8 +346,9 @@ class LdpJoinSketchServer {
   double c_eps_;
   uint64_t total_ = 0;
   bool finalized_ = false;
-  std::vector<int64_t> lanes_;  // row-major k x m; raw votes until Finalize
-  std::vector<double> cells_;   // row-major k x m; populated by Finalize
+  // Row-major k x m raw votes; empty only when decoded from cells.
+  std::vector<int64_t> lanes_;
+  std::vector<double> cells_;  // row-major k x m; populated by Finalize
 };
 
 /// Keys per window of FrequencyEstimateRun: one tabulation window, so a

@@ -200,13 +200,20 @@ double LdpChainJoinEstimate(
     const LdpJoinSketchServer& end_left,
     const std::vector<const LdpMultiwayServer*>& middles,
     const LdpJoinSketchServer& end_right) {
+  // A chain with no middle table is a join.
+  if (middles.empty()) return end_left.JoinEstimate(end_right);
   LDPJS_CHECK(end_left.finalized() && end_right.finalized());
   const int k = end_left.params().k;
   LDPJS_CHECK(end_right.params().k == k);
+  // Every sketch on one attribute hashes it with that attribute's seed.
+  uint64_t seed = end_left.params().seed;
   for (const auto* mid : middles) {
     LDPJS_CHECK(mid->finalized());
     LDPJS_CHECK(mid->params().k == k);
+    LDPJS_CHECK(mid->params().left_seed == seed);
+    seed = mid->params().right_seed;
   }
+  LDPJS_CHECK(end_right.params().seed == seed);
 
   std::vector<double> estimators(static_cast<size_t>(k));
   for (int j = 0; j < k; ++j) {

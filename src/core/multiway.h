@@ -97,8 +97,9 @@ class LdpMultiwayServer {
 
 /// Eq. 27 generalized to any chain length: end vector sketches around zero
 /// or more middle matrix sketches. Replica j of every sketch is multiplied
-/// through; the median over the k replicas is returned. Adjacent dimensions
-/// and k must match (checked).
+/// through; the median over the k replicas is returned. Adjacent dimensions,
+/// attribute seeds and k must match (checked). With no middle the chain is
+/// a join, and the answer is end_left.JoinEstimate(end_right).
 double LdpChainJoinEstimate(
     const LdpJoinSketchServer& end_left,
     const std::vector<const LdpMultiwayServer*>& middles,

@@ -149,13 +149,13 @@ void FrameServer::AcceptLoop() {
     conn->id = connections_accepted_.fetch_add(1, std::memory_order_relaxed);
     conn->socket = std::move(*socket);
     Connection* raw = conn.get();
-    // The thread handle must be fully assigned BEFORE the connection is
-    // visible to the reaper: a reader that exits instantly (e.g. a HELLO
-    // mismatch) must never be reaped while raw->reader is still an empty
-    // handle — registration under mu_ is the happens-before edge.
-    raw->reader = std::thread(&FrameServer::ReaderLoop, this, raw);
     {
+      // Spawn and register in one critical section. The reader may count a
+      // frame and exit at once (HELLO, one bad frame, EOF), so it must not
+      // run before metrics() can see its connection. And the reaper, which
+      // runs under mu_, must never see raw->reader as an empty handle.
       MutexLock lock(mu_);
+      raw->reader = std::thread(&FrameServer::ReaderLoop, this, raw);
       connections_.push_back(std::move(conn));
       // A Stop() racing this accept has already swept the registered
       // sockets; cover the newcomer so its reader is unblocked too.

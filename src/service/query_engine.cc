@@ -13,7 +13,7 @@ namespace ldpjs {
 namespace {
 
 /// Finalizes a decoded probe sketch if it arrived as raw lanes — clients
-/// may ship either; the estimate needs finalized cells.
+/// may ship either; predicate and chain joins need finalized cells.
 Result<LdpJoinSketchServer> Finalized(Result<LdpJoinSketchServer> probe) {
   if (probe.ok() && !probe->finalized()) probe->Finalize();
   return probe;
@@ -29,7 +29,7 @@ Result<LdpJoinSketchServer> DecodeJoinProbe(
     return Status::InvalidArgument(
         "probe sketch params do not match the served view (k/m/seed)");
   }
-  return Finalized(std::move(probe));
+  return probe;
 }
 
 Status CheckRange(uint64_t lo, uint64_t hi) {
@@ -57,6 +57,9 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
     case QueryKind::kJoinSize: {
       auto probe = DecodeJoinProbe(view.sketch, request.probe_sketch);
       if (!probe.ok()) return probe.status();
+      if (probe->finalized()) {
+        return Status::InvalidArgument("join probes carry raw lanes");
+      }
       response.value = view.sketch.JoinEstimate(*probe);
       break;
     }
@@ -88,6 +91,12 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
       }
       std::vector<LdpMultiwayServer> middles;
       middles.reserve(request.middles.size());
+      // Chain links must agree one by one (the estimator CHECKs them): the
+      // view's (m, seed) is the first middle's left side, each middle's
+      // right side is the next one's left, and the last right side is the
+      // probe's.
+      int dim = view.sketch.params().m;
+      uint64_t seed = view.sketch.params().seed;
       for (const auto& bytes : request.middles) {
         auto middle = LdpMultiwayServer::Deserialize(bytes);
         if (!middle.ok()) return middle.status();
@@ -98,29 +107,33 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
         if (middle->params().k != view.sketch.params().k) {
           return Status::InvalidArgument("multiway middle k mismatch");
         }
+        if (middle->params().m_left != dim) {
+          return Status::InvalidArgument("multiway chain dimension mismatch");
+        }
+        if (middle->params().left_seed != seed) {
+          return Status::InvalidArgument("multiway chain seed mismatch");
+        }
+        dim = middle->params().m_right;
+        seed = middle->params().right_seed;
         middles.push_back(std::move(*middle));
       }
       // The chain's last sketch has its own m and seed by design, so it
-      // decodes against a fresh shape.
+      // decodes against a fresh shape, built only once its header matches
+      // the chain: a probe costs at most the view's k rows of tables.
+      auto header = LdpJoinSketchServer::ReadHeader(request.probe_sketch);
+      if (!header.ok()) return header.status();
+      if (header->params.k != view.sketch.params().k) {
+        return Status::InvalidArgument("multiway probe k mismatch");
+      }
+      if (header->params.m != dim) {
+        return Status::InvalidArgument("multiway chain dimension mismatch");
+      }
+      if (header->params.seed != seed) {
+        return Status::InvalidArgument("multiway chain seed mismatch");
+      }
       auto probe =
           Finalized(LdpJoinSketchServer::Deserialize(request.probe_sketch));
       if (!probe.ok()) return probe.status();
-      if (probe->params().k != view.sketch.params().k) {
-        return Status::InvalidArgument("multiway probe k mismatch");
-      }
-      // Chain dimensions must agree link by link (the estimator CHECKs
-      // them): view.m == first.m_left, middle[i].m_right ==
-      // middle[i+1].m_left, last.m_right == probe.m.
-      int dim = view.sketch.params().m;
-      for (const LdpMultiwayServer& middle : middles) {
-        if (middle.params().m_left != dim) {
-          return Status::InvalidArgument("multiway chain dimension mismatch");
-        }
-        dim = middle.params().m_right;
-      }
-      if (probe->params().m != dim) {
-        return Status::InvalidArgument("multiway chain dimension mismatch");
-      }
       std::vector<const LdpMultiwayServer*> middle_ptrs;
       middle_ptrs.reserve(middles.size());
       for (const LdpMultiwayServer& middle : middles) {
@@ -138,7 +151,8 @@ Result<QueryResponse> AnswerQuery(const PublishedView& view,
     }
     case QueryKind::kPredicateJoin: {
       LDPJS_RETURN_IF_ERROR(CheckRange(request.range_lo, request.range_hi));
-      auto probe = DecodeJoinProbe(view.sketch, request.probe_sketch);
+      auto probe =
+          Finalized(DecodeJoinProbe(view.sketch, request.probe_sketch));
       if (!probe.ok()) return probe.status();
       response.value = PredicateJoinEstimate(
           view.sketch, *probe, ValueRange{request.range_lo, request.range_hi});

@@ -10,7 +10,7 @@
 // with LDPJS_CHECK — an abort, correct for in-process misuse but never
 // acceptable for bytes that arrived over a socket. AnswerQuery therefore
 // pre-validates everything a request could get wrong (corrupt or
-// mismatched probe sketches, chain dimension mismatches, unbounded
+// mismatched probe sketches, chain dimension and seed mismatches, unbounded
 // domain/range scans) and returns InvalidArgument/Corruption instead of
 // ever letting a hostile payload reach a CHECK.
 #ifndef LDPJS_SERVICE_QUERY_ENGINE_H_

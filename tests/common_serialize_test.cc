@@ -1,6 +1,7 @@
 #include "common/serialize.h"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -86,6 +87,32 @@ TEST(SerializeTest, OversizedVectorLengthRejected) {
   auto result = reader.GetDoubleVector();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+TEST(SerializeTest, LaneVectorBoundsItsL1NormAcrossBlocks) {
+  // Past 2^20 values the L1 sum runs in blocks; one value of 2^44 or more
+  // sends its block down the one-value-at-a-time path.
+  std::vector<int64_t> lanes((size_t{1} << 20) + 5, -1);
+  lanes[7] = int64_t{1} << 50;
+  BinaryWriter writer;
+  writer.PutI64Vector(lanes);
+  const uint64_t l1 = (uint64_t{1} << 50) + lanes.size() - 1;
+  std::vector<int64_t> out;
+  BinaryReader exact(writer.buffer());
+  ASSERT_TRUE(exact.GetLaneVector(lanes.size(), l1, out).ok());
+  EXPECT_EQ(out, lanes);
+  EXPECT_TRUE(exact.AtEnd());
+  BinaryReader over(writer.buffer());
+  EXPECT_EQ(over.GetLaneVector(lanes.size(), l1 - 1, out).code(),
+            StatusCode::kCorruption);
+  lanes[7] = -1;  // every block on the vectorized path
+  BinaryWriter small;
+  small.PutI64Vector(lanes);
+  BinaryReader fast(small.buffer());
+  EXPECT_EQ(fast.GetLaneVector(lanes.size(), lanes.size() - 1, out).code(),
+            StatusCode::kCorruption);
+  BinaryReader fits(small.buffer());
+  EXPECT_TRUE(fits.GetLaneVector(lanes.size(), lanes.size(), out).ok());
 }
 
 TEST(SerializeTest, TakeBufferMovesOutData) {

@@ -167,8 +167,8 @@ TEST(MultiwayTest, FourWayChainRunsAndStaysInBand) {
 }
 
 TEST(MultiwayTest, TwoWayDegenerateMatchesJoinEstimateShape) {
-  // Zero middle tables: the chain reduces to Σ_x left[j,x]·right[j,x],
-  // the same estimator as LdpJoinSketchServer::JoinEstimate.
+  // Zero middle tables: the chain is a join, answered by
+  // LdpJoinSketchServer::JoinEstimate itself.
   const JoinWorkload w = MakeZipfWorkload(1.5, 200, 60000, 41);
   SketchParams params;
   params.k = 7;
@@ -180,6 +180,46 @@ TEST(MultiwayTest, TwoWayDegenerateMatchesJoinEstimateShape) {
   sim.run_seed = 44;
   const LdpJoinSketchServer sb = BuildLdpJoinSketch(w.table_b, params, 4.0, sim);
   EXPECT_EQ(LdpChainJoinEstimate(sa, {}, sb), sa.JoinEstimate(sb));
+}
+
+// A(a) ⋈ B(a, c) ⋈ C(c) over one key per attribute, 2e5 rows each: the
+// chain size is (2e5)^3 = 8e15. Every sketch on an attribute must hash it
+// with that attribute's seed; a chain whose links disagree used to answer
+// -2.44e13 without complaint.
+TEST(MultiwayDeathTest, ChainLinksWithAnotherSeedAbort) {
+  const size_t rows = 200000;
+  const uint64_t seed_a = 1, seed_c = 2;
+  SketchParams end_params;
+  end_params.k = 18;
+  end_params.m = 256;
+  end_params.seed = seed_a;
+  SimulationOptions sim;
+  sim.run_seed = 61;
+  const Column a(std::vector<uint64_t>(rows, 3), 100);
+  const LdpJoinSketchServer left = BuildLdpJoinSketch(a, end_params, 4.0, sim);
+  end_params.seed = seed_c;
+  sim.run_seed = 62;
+  const Column c(std::vector<uint64_t>(rows, 9), 100);
+  const LdpJoinSketchServer right = BuildLdpJoinSketch(c, end_params, 4.0, sim);
+  PairColumn pairs;
+  pairs.left.assign(rows, 3);
+  pairs.right.assign(rows, 9);
+  pairs.left_domain = pairs.right_domain = 100;
+  const LdpMultiwayServer matched =
+      BuildLdpMultiwaySketch(pairs, MidParams(18, 256, seed_a, seed_c), 4.0, 63);
+  const double truth = 8e15;
+  EXPECT_NEAR(LdpChainJoinEstimate(left, {&matched}, right) / truth, 1.0, 0.1);
+
+  const LdpMultiwayServer left_seed_77 =
+      BuildLdpMultiwaySketch(pairs, MidParams(18, 256, 77, seed_c), 4.0, 63);
+  EXPECT_DEATH(LdpChainJoinEstimate(left, {&left_seed_77}, right),
+               "LDPJS_CHECK failed");
+  // The last link: the middle's right seed against the right end's.
+  EXPECT_DEATH(LdpChainJoinEstimate(left, {&matched}, left),
+               "LDPJS_CHECK failed");
+  // Between middles: the first one's right seed against the next's left.
+  EXPECT_DEATH(LdpChainJoinEstimate(left, {&matched, &matched}, right),
+               "LDPJS_CHECK failed");
 }
 
 TEST(MultiwayServerTest, MergeEqualsSequential) {

@@ -355,9 +355,11 @@ TEST(LdpJoinSketchPlusTest, DeterministicForFixedSeedAndThreads) {
 }
 
 // Every result field but the two timings, pinned to the values the
-// estimator gave before phase 1 evaluated f̂ a run of keys at a time. The
-// domain, 300001 keys, is a multiple of neither the 256-key run nor the
-// 2^16-key scan block.
+// estimator gave before phase 1 evaluated f̂ a run of keys at a time, with
+// the three estimates as JoinEst's lane-domain closed form gives them
+// (within 7e-15 relative of the cells-domain values). The domain, 300001
+// keys, is a multiple of neither the 256-key run nor the 2^16-key scan
+// block.
 TEST(LdpJoinSketchPlusTest, PinnedOnADomainOffTheScanGrid) {
   const JoinWorkload w = MakeZipfWorkload(1.1, 300001, 1 << 18, 7);
   LdpJoinSketchPlusParams params;
@@ -369,9 +371,9 @@ TEST(LdpJoinSketchPlusTest, PinnedOnADomainOffTheScanGrid) {
   params.simulation.num_threads = 4;
   const LdpJoinSketchPlusResult r =
       EstimateJoinSizePlus(w.table_a, w.table_b, params);
-  EXPECT_EQ(r.estimate, 1653343078.7494209);
-  EXPECT_EQ(r.low_estimate, -71108426.615424246);
-  EXPECT_EQ(r.high_estimate, 1724451505.364845);
+  EXPECT_EQ(r.estimate, 1653343078.7494202);
+  EXPECT_EQ(r.low_estimate, -71108426.615424708);
+  EXPECT_EQ(r.high_estimate, 1724451505.3648448);
   EXPECT_EQ(r.frequent_item_count, 204065u);
   // Both masses clamp to the table size, 2^18.
   EXPECT_EQ(r.high_freq_mass_a, 262144.0);

@@ -179,19 +179,6 @@ TEST(LdpServerTest, ThreadCountDoesNotChangeTotals) {
   }
 }
 
-TEST(LdpServerTest, SubtractUniformMassShiftsEveryCell) {
-  const SketchParams params = TestParams(2, 64);
-  LdpJoinSketchServer server(params, 1.0);
-  server.Finalize();
-  LdpJoinSketchServer reference = server;
-  server.SubtractUniformMass(640.0);
-  for (int j = 0; j < params.k; ++j) {
-    for (int x = 0; x < params.m; ++x) {
-      EXPECT_NEAR(server.cell(j, x), reference.cell(j, x) - 10.0, 1e-12);
-    }
-  }
-}
-
 TEST(LdpServerTest, SerializeRoundTrip) {
   const SketchParams params = TestParams(3, 128);
   LdpJoinSketchClient client(params, 2.5);
@@ -405,8 +392,7 @@ TEST(LdpServerDeathTest, LifecycleViolationsAbort) {
   const SketchParams params = TestParams(2, 64);
   LdpJoinSketchServer server(params, 1.0);
   LdpJoinSketchServer other(params, 1.0);
-  // Estimation before finalize.
-  EXPECT_DEATH(server.JoinEstimate(other), "LDPJS_CHECK failed");
+  // Estimation from cells before finalize.
   EXPECT_DEATH(server.FrequencyEstimate(0), "LDPJS_CHECK failed");
   server.Finalize();
   // Absorb and merge after finalize.
@@ -423,6 +409,25 @@ TEST(LdpServerDeathTest, MergeAcrossBudgetsAborts) {
   LdpJoinSketchServer b(TestParams(2, 64), 2.0);
   EXPECT_DEATH(a.Merge(b), "LDPJS_CHECK failed");
   EXPECT_DEATH(a.SubtractRaw(b), "LDPJS_CHECK failed");
+}
+
+TEST(LdpServerDeathTest, JoinOfASketchDecodedFromCellsAborts) {
+  // The finalized encoding carries cells only, and a join reads lanes.
+  LdpJoinSketchServer sketch(TestParams(2, 64), 1.0);
+  sketch.Absorb(LdpReport{1, 1, 5});
+  sketch.Finalize();
+  auto decoded = sketch.DeserializeLike(sketch.Serialize());
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded->finalized());
+  EXPECT_DEATH(sketch.JoinEstimate(*decoded), "LDPJS_CHECK failed");
+  EXPECT_DEATH(decoded->JoinEstimate(sketch), "LDPJS_CHECK failed");
+  EXPECT_DEATH(decoded->lane(0, 0), "LDPJS_CHECK failed");
+  EXPECT_DEATH(decoded->SerializeRaw(), "LDPJS_CHECK failed");
+  // Its raw encoding joins as the sketch does.
+  auto raw = sketch.DeserializeLike(sketch.SerializeRaw());
+  ASSERT_TRUE(raw.ok());
+  EXPECT_FALSE(raw->finalized());
+  EXPECT_EQ(raw->JoinEstimate(sketch), sketch.JoinEstimate(sketch));
 }
 
 TEST(LdpServerDeathTest, JoinAcrossSeedsAborts) {

@@ -13,6 +13,8 @@
 //  3. Hostile traffic: garbage payloads, oversized frames, and unbounded
 //     scans all degrade to clean ERRORs — never a crash, and never a
 //     stalled finalize barrier (CI ASan/UBSan job).
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -466,7 +468,7 @@ TEST(NetQueryTest, HostileQueryPayloadsDegradeCleanlyAndNeverStallFinalize) {
 
 // A join probe decodes against the view's shape, and only its shape must
 // match: a probe collected under another ε is answered, exactly as
-// JoinEstimate answers it in process.
+// JoinEstimate answers it in process on its raw lanes.
 TEST(NetQueryTest, JoinProbeOfAnotherBudgetIsAnswered) {
   const SketchParams params = TestParams();
   LdpJoinSketchServer sketch(params, 2.0);
@@ -480,8 +482,146 @@ TEST(NetQueryTest, JoinProbeOfAnotherBudgetIsAnswered) {
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
   auto probe = LdpJoinSketchServer::Deserialize(join.probe_sketch);
   ASSERT_TRUE(probe.ok());
-  probe->Finalize();
+  ASSERT_FALSE(probe->finalized());
   EXPECT_EQ(Bits(answer->value), Bits(sketch.JoinEstimate(*probe)));
+}
+
+// A join reads the probe's lanes, and the finalized encoding carries only
+// cells, so such a probe is a bad request, answered InvalidArgument; a
+// predicate join, which needs cells, still takes it.
+TEST(NetQueryTest, FinalizedJoinProbeIsInvalidArgument) {
+  const SketchParams params = TestParams();
+  LdpJoinSketchServer sketch(params, 2.0);
+  sketch.AbsorbBatch(MethodReports(params, 2.0, /*fap=*/false, 3000, 8));
+  sketch.Finalize();
+  const PublishedView view(1, /*aligned=*/false, /*epoch=*/0, sketch);
+  LdpJoinSketchServer probe(params, 2.0);
+  probe.AbsorbBatch(MethodReports(params, 2.0, /*fap=*/false, 2000, 9));
+  probe.Finalize();
+  QueryRequest join;
+  join.kind = QueryKind::kJoinSize;
+  join.probe_sketch = probe.Serialize();
+  auto answer = AnswerQuery(view, join);
+  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(answer.status().ToString().find("raw lanes"), std::string::npos)
+      << answer.status().ToString();
+  QueryRequest predjoin = join;
+  predjoin.kind = QueryKind::kPredicateJoin;
+  predjoin.range_lo = 0;
+  predjoin.range_hi = 100;
+  EXPECT_TRUE(AnswerQuery(view, predjoin).ok());
+  // The same probe's raw lanes are answered.
+  join.probe_sketch = probe.SerializeRaw();
+  auto raw_answer = AnswerQuery(view, join);
+  ASSERT_TRUE(raw_answer.ok()) << raw_answer.status().ToString();
+  EXPECT_EQ(Bits(raw_answer->value), Bits(sketch.JoinEstimate(probe)));
+}
+
+// A multiway probe's LJS2 header is checked against the chain before the
+// decoder builds its hash tables: this 1 MB body declares k = 65535 and
+// m = 2, and decoding it first used to build 540 MB of tables.
+TEST(NetQueryTest, MultiwayProbeHeaderIsCheckedBeforeAnyTableIsBuilt) {
+  const SketchParams params = TestParams();
+  LdpJoinSketchServer sketch(params, 2.0);
+  sketch.AbsorbBatch(MethodReports(params, 2.0, /*fap=*/false, 3000, 8));
+  sketch.Finalize();
+  const PublishedView view(1, /*aligned=*/false, /*epoch=*/0, sketch);
+  MultiwayParams mid;
+  mid.k = params.k;
+  mid.m_left = params.m;
+  mid.m_right = 2;
+  mid.left_seed = params.seed;
+  mid.right_seed = 99;
+  LdpMultiwayServer middle(mid, 2.0);
+  middle.Finalize();
+  // The header of a k = 1, m = 2 sketch of the chain's last attribute,
+  // declaring 65535 finalized rows instead.
+  SketchParams last = params;
+  last.k = 1;
+  last.m = 2;
+  last.seed = mid.right_seed;
+  const std::vector<uint8_t> small = LdpJoinSketchServer(last, 2.0).Serialize();
+  BinaryWriter writer;
+  writer.PutU32(0x32534A4CU);  // "LJS2"
+  writer.PutU8(small[4]);      // version
+  writer.PutU32(static_cast<uint32_t>(kMaxSketchRows));
+  for (size_t i = 9; i < 4 + 1 + 4 + 4 + 8 + 8 + 8; ++i) {
+    writer.PutU8(small[i]);  // m, seed, epsilon, total
+  }
+  writer.PutU8(1);  // finalized
+  writer.PutDoubleVector(std::vector<double>(2 * size_t{kMaxSketchRows}));
+  QueryRequest chain;
+  chain.kind = QueryKind::kMultiwayChain;
+  chain.middles.push_back(middle.Serialize());
+  chain.probe_sketch = writer.TakeBuffer();
+  ASSERT_EQ(chain.probe_sketch.size(), 1048606u);
+  ASSERT_TRUE(LdpJoinSketchServer::ReadHeader(chain.probe_sketch).ok());
+
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  auto answer = AnswerQuery(view, chain);
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
+  // Peak RSS in KiB: far below the tables' 540 MB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
+}
+
+// The ROADMAP case A(a) ⋈ B(a, c) ⋈ C(c), 2e5 rows each, one key per
+// attribute, so the chain size is 8e15. A link whose attribute seed
+// differs from its neighbour's is InvalidArgument, not a silent −2.44e13.
+TEST(NetQueryTest, MultiwayChainSeedMismatchIsInvalidArgument) {
+  const size_t rows = 200000;
+  const auto one_key = [&](const SketchParams& params, uint64_t key,
+                           uint64_t seed) {
+    const LdpJoinSketchClient client(params, 4.0);
+    LdpJoinSketchServer sketch(client.shape(), 4.0);
+    std::vector<LdpReport> reports(rows);
+    Xoshiro256 rng(seed);
+    client.PerturbBatch(std::vector<uint64_t>(rows, key), reports, rng);
+    sketch.AbsorbBatch(reports);
+    return sketch;
+  };
+  const SketchParams params = TestParams(18, 256, 1);
+  LdpJoinSketchServer view_sketch = one_key(params, 3, 71);
+  view_sketch.Finalize();
+  const PublishedView view(1, /*aligned=*/false, /*epoch=*/0, view_sketch);
+  SketchParams right = params;
+  right.seed = 2;
+  const LdpJoinSketchServer probe = one_key(right, 9, 72);
+  PairColumn pairs;
+  pairs.left.assign(rows, 3);
+  pairs.right.assign(rows, 9);
+  pairs.left_domain = pairs.right_domain = 100;
+  const auto chain_with = [&](uint64_t left_seed, uint64_t right_seed) {
+    MultiwayParams mid;
+    mid.k = params.k;
+    mid.m_left = params.m;
+    mid.m_right = right.m;
+    mid.left_seed = left_seed;
+    mid.right_seed = right_seed;
+    QueryRequest chain;
+    chain.kind = QueryKind::kMultiwayChain;
+    chain.middles.push_back(
+        BuildLdpMultiwaySketch(pairs, mid, 4.0, 73).Serialize());
+    chain.probe_sketch = probe.Serialize();
+    return chain;
+  };
+  auto matched = AnswerQuery(view, chain_with(params.seed, right.seed));
+  ASSERT_TRUE(matched.ok()) << matched.status().ToString();
+  EXPECT_NEAR(matched->value / 8e15, 1.0, 0.1);
+  for (const auto& [left_seed, right_seed] :
+       {std::pair<uint64_t, uint64_t>{77, right.seed},
+        std::pair<uint64_t, uint64_t>{params.seed, 3}}) {
+    auto answer = AnswerQuery(view, chain_with(left_seed, right_seed));
+    EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument)
+        << left_seed << " " << right_seed;
+  }
+  // Between two middles.
+  QueryRequest two = chain_with(params.seed, right.seed);
+  two.middles.push_back(two.middles.front());
+  EXPECT_EQ(AnswerQuery(view, two).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // Regression: a peer caught mid-send on an oversized QUERY frame used to

@@ -13,8 +13,9 @@
 //   ldpjs_cli estimate --sketch-a a.bin --sketch-b b.bin [--check 1 ...]
 //
 // `serve` aggregates one table's reports until a client sends FINALIZE,
-// then drains, finalizes once, writes the serialized finalized sketch to
-// --out, and dumps the per-connection/per-shard metrics. `send` replays the
+// then drains, finalizes once, writes the sketch's raw lanes to --out, and
+// dumps the per-connection/per-shard metrics; `estimate` joins two such
+// files on their lanes. `send` replays the
 // exact per-block perturbation the in-process simulation would run (same
 // counter-based RNG streams, same seed derivations), so `estimate --check`
 // can assert the network path reproduced the in-process estimate bit for
@@ -306,7 +307,7 @@ int RunServe(int argc, char** argv) {
   DefineWorkloadFlags(flags);
   flags.Define("port", "7542", "TCP port to listen on");
   DefineServerFlags(flags);
-  flags.Define("out", "", "write the finalized sketch here when done");
+  flags.Define("out", "", "write the sketch's raw lanes here when done");
   flags.Parse(argc, argv);
 
   const FrameServerOptions options = ServerOptionsFromFlags(flags);
@@ -336,7 +337,7 @@ int RunServe(int argc, char** argv) {
               static_cast<unsigned long long>(sketch.total_reports()));
   const std::string out = flags.GetString("out");
   if (!out.empty()) {
-    const std::vector<uint8_t> bytes = sketch.Serialize();
+    const std::vector<uint8_t> bytes = sketch.SerializeRaw();
     if (!WriteFile(out, bytes)) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());
       return 1;
@@ -360,13 +361,13 @@ int RunFederateCentral(int argc, char** argv) {
                "region)");
   flags.Define("window", "0",
                "W >= 1 maintains a sliding-window view over the last W "
-               "cross-region-aligned epochs and writes ITS finalized sketch "
-               "to --out instead of the full history");
+               "cross-region-aligned epochs and writes ITS raw lanes to "
+               "--out instead of the full history");
   flags.Define("window-regions", "0",
                "regions the windowed view's aligned frontier waits for "
                "(0 = --finalize-after; set explicitly when the FINALIZE "
                "quorum is not one per region)");
-  flags.Define("out", "", "write the finalized sketch here when done");
+  flags.Define("out", "", "write the sketch's raw lanes here when done");
   flags.Parse(argc, argv);
 
   CentralNodeOptions options;
@@ -423,7 +424,7 @@ int RunFederateCentral(int argc, char** argv) {
                   central.metrics().epochs_applied));
   const std::string out = flags.GetString("out");
   if (!out.empty()) {
-    const std::vector<uint8_t> bytes = sketch.Serialize();
+    const std::vector<uint8_t> bytes = sketch.SerializeRaw();
     if (!WriteFile(out, bytes)) {
       std::fprintf(stderr, "cannot write %s\n", out.c_str());
       return 1;
@@ -638,14 +639,15 @@ int RunSend(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------------
-// estimate: join two finalized sketch files; optionally check against the
-// in-process run of the same experiment.
+// estimate: join two raw sketch files (serve / federate-central --out) on
+// their lanes; optionally check against the in-process run of the same
+// experiment.
 // ---------------------------------------------------------------------------
 int RunEstimate(int argc, char** argv) {
   tools::Flags flags;
   DefineWorkloadFlags(flags);
-  flags.Define("sketch-a", "", "finalized sketch file for table a");
-  flags.Define("sketch-b", "", "finalized sketch file for table b");
+  flags.Define("sketch-a", "", "raw sketch file for table a");
+  flags.Define("sketch-b", "", "raw sketch file for table b");
   flags.Define("check", "0",
                "1 = recompute in-process (trial 0) and require a bit-"
                "identical estimate");
@@ -666,8 +668,10 @@ int RunEstimate(int argc, char** argv) {
                  sketch_b.ok() ? "ok" : sketch_b.status().ToString().c_str());
     return 1;
   }
-  if (!sketch_a->finalized() || !sketch_b->finalized()) {
-    std::fprintf(stderr, "estimate needs finalized sketches\n");
+  if (sketch_a->finalized() || sketch_b->finalized()) {
+    std::fprintf(stderr,
+                 "estimate joins raw sketch files: a finalized file holds no "
+                 "lanes\n");
     return 1;
   }
   const double estimate = sketch_a->JoinEstimate(*sketch_b);
@@ -809,7 +813,7 @@ int RunQuery(int argc, char** argv) {
       probe_server.AbsorbBatch(
           PerturbIngestBlock(probe_client, values, run_seed, index, block));
     }
-    request.probe_sketch = probe_server.Serialize();  // raw; server finalizes
+    request.probe_sketch = probe_server.Serialize();  // raw lanes
   }
 
   auto sender =
