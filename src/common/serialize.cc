@@ -1,6 +1,5 @@
 #include "common/serialize.h"
 
-#include <algorithm>
 #include <bit>
 
 namespace ldpjs {
@@ -152,36 +151,17 @@ Status BinaryReader::GetLaneVector(uint64_t count, uint64_t max_l1,
   auto in = GetVectorValues(count);
   if (!in.ok()) return in.status();
   out.resize(count);
-  const auto magnitude = [](int64_t value) {
-    const uint64_t sign = static_cast<uint64_t>(value >> 63);
-    return (static_cast<uint64_t>(value) ^ sign) - sign;  // 2^63 for INT64_MIN
-  };
-  // A block of 2^20 values that are all below 2^44 sums in one uint64_t
-  // without wrapping, in a loop the compiler vectorizes. A block holding a
-  // larger value (past 2^44 reports, or forged) adds one value at a time.
-  const auto exceeded = [max_l1] {
-    return Status::Corruption("lane vector's L1 norm exceeds " +
-                              std::to_string(max_l1));
-  };
-  constexpr size_t kBlock = size_t{1} << 20;
   uint64_t l1 = 0;  // never above max_l1
-  for (size_t at = 0; at < out.size(); at += kBlock) {
-    const size_t end = std::min(out.size(), at + kBlock);
-    uint64_t sum = 0, bits = 0;
-    for (size_t i = at; i < end; ++i) {
-      out[i] = static_cast<int64_t>(LoadLe64(*in + 8 * i));
-      sum += magnitude(out[i]);
-      bits |= magnitude(out[i]);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<int64_t>(LoadLe64(*in + 8 * i));
+    const uint64_t sign = static_cast<uint64_t>(out[i] >> 63);
+    // |value|, which is 2^63 for INT64_MIN.
+    const uint64_t magnitude = (static_cast<uint64_t>(out[i]) ^ sign) - sign;
+    if (magnitude > max_l1 - l1) {
+      return Status::Corruption("lane vector's L1 norm exceeds " +
+                                std::to_string(max_l1));
     }
-    if (bits >> 44 == 0) {
-      if (sum > max_l1 - l1) return exceeded();
-      l1 += sum;
-      continue;
-    }
-    for (size_t i = at; i < end; ++i) {
-      if (magnitude(out[i]) > max_l1 - l1) return exceeded();
-      l1 += magnitude(out[i]);
-    }
+    l1 += magnitude;
   }
   return Status::OK();
 }

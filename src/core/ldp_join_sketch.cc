@@ -40,12 +40,11 @@ void SubLanes(int64_t* __restrict dst, const int64_t* __restrict src,
   for (size_t i = 0; i < n; ++i) dst[i] -= src[i];
 }
 
-/// ⟨a, b⟩ over n lanes, accumulated in Acc. The caller picks an Acc that
-/// holds every partial sum, so the result is exact.
-template <typename Acc>
-Acc LaneDot(const int64_t* a, const int64_t* b, size_t n) {
-  Acc acc = 0;
-  for (size_t i = 0; i < n; ++i) acc += static_cast<Acc>(a[i]) * b[i];
+/// ⟨a, b⟩ over n lanes, exact: every partial sum is at most
+/// L1(a)·max|b| <= kMaxSketchReports² < 2^126.
+__int128 LaneDot(const int64_t* a, const int64_t* b, size_t n) {
+  __int128 acc = 0;
+  for (size_t i = 0; i < n; ++i) acc += static_cast<__int128>(a[i]) * b[i];
   return acc;
 }
 
@@ -276,6 +275,8 @@ void LdpJoinSketchServer::Merge(const LdpJoinSketchServer& other) {
   // AddLanes' restrict contract forbids overlap, so a self-merge — well-
   // defined under the old indexed loop — must be rejected, not miscompiled.
   LDPJS_CHECK(this != &other);
+  // The lanes' L1 norm stays under the report count, so no lane overflows.
+  LDPJS_CHECK(other.total_ <= kMaxSketchReports - total_);
   AddLanes(lanes_.data(), other.lanes_.data(), lanes_.size());
   total_ += other.total_;
 }
@@ -326,16 +327,11 @@ double LdpJoinSketchServer::JoinEstimate(const LdpJoinSketchServer& other,
   const double s = static_cast<double>(params().k) * c_eps_;
   const double s_other = static_cast<double>(params().k) * other.c_eps_;
   const double scale = s * s_other;
-  // Every partial sum is at most Σ|a|·max|b| <= n·n' (L1 norm <= reports).
-  const bool fits_int64 =
-      total_ == 0 || other.total_ <= uint64_t{INT64_MAX} / total_;
   std::vector<double> estimators(rows);
   for (size_t j = 0; j < rows; ++j) {
     const int64_t* a = lanes_.data() + j * m;
     const int64_t* b = other.lanes_.data() + j * m;
-    const double dot = fits_int64
-                           ? static_cast<double>(LaneDot<int64_t>(a, b, m))
-                           : static_cast<double>(LaneDot<__int128>(a, b, m));
+    const double dot = static_cast<double>(LaneDot(a, b, m));
     const double inner = scale * dot -
                          s * other_shift * static_cast<double>(a[0]) -
                          s_other * shift * static_cast<double>(b[0]) +
@@ -496,6 +492,10 @@ Result<LdpJoinSketchServer::Header> LdpJoinSketchServer::ReadHeader(
     return Status::Corruption("invalid sketch shape");
   }
   if (!ValidEpsilon(*epsilon)) return Status::Corruption("invalid epsilon");
+  if (*total > kMaxSketchReports) {
+    return Status::Corruption("report count exceeds " +
+                              std::to_string(kMaxSketchReports));
+  }
   // The rest is a count prefix and k·m values, with no trailing byte. This
   // is checked before a caller builds a shape, so a short buffer cannot make
   // the decoder build k rows of hash tables.
@@ -524,8 +524,8 @@ Result<LdpJoinSketchServer> LdpJoinSketchServer::Decode(
                           static_cast<uint64_t>(header->params.m);
   BinaryReader body(bytes.subspan(bytes.size() - 8 * (values + 1)));
   // Each report moves one lane by ±1, so honest lanes have an L1 norm of at
-  // most the report count. JoinEstimate's exact dot relies on that bound,
-  // and a header can lie.
+  // most the report count. Merge (no lane overflows) and JoinEstimate (an
+  // exact dot) rely on that bound, and a header can lie.
   LDPJS_RETURN_IF_ERROR(
       sketch.finalized_
           ? body.GetDoubleVector(values, sketch.cells_)

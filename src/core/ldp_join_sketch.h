@@ -179,6 +179,12 @@ class LdpJoinSketchClient {
   int m_log2_;
 };
 
+/// The most reports one sketch may count. Each report moves one lane by ±1,
+/// so a lane vector's L1 norm is at most its report count, and under this
+/// bound no lane can overflow int64: the decoder refuses a larger declared
+/// count and Merge a larger sum.
+inline constexpr uint64_t kMaxSketchReports = INT64_MAX;
+
 class LdpJoinSketchServer {
  public:
   /// Must be constructed with the clients' params and epsilon, which must be
@@ -206,7 +212,8 @@ class LdpJoinSketchServer {
   void AbsorbBatch(std::span<const LdpReport> reports);
 
   /// Adds another server's raw lanes (distributed aggregation). Both must
-  /// be Mergeable (same shape, bit-equal ε) and un-finalized. Integer
+  /// be Mergeable (same shape, bit-equal ε) and un-finalized, and their
+  /// report counts together must not pass kMaxSketchReports. Integer
   /// addition, so merge order never changes the result.
   void Merge(const LdpJoinSketchServer& other);
 
@@ -242,10 +249,10 @@ class LdpJoinSketchServer {
   /// H_m's first column is all ones, so M[j] − u·1 = H_m·(s·lanes[j] −
   /// u·e_0), and row j is
   ///   m·(s·s'·dot_j − s·u'·lanes[j, 0] − s'·u·lanes'[j, 0] + u·u').
-  /// dot_j is exact. Each report moves one lane by ±1, so a lane vector's
-  /// L1 norm is at most its report count n (the decoder refuses one that
-  /// is not), and every partial sum is bounded by n·n': the dot runs in
-  /// int64 when n·n' fits and in __int128 otherwise, on the calling thread.
+  /// dot_j is exact: it runs in __int128 on the calling thread. Each report
+  /// moves one lane by ±1, so a lane vector's L1 norm is at most its report
+  /// count n <= kMaxSketchReports (the decoder refuses one that is not),
+  /// and every partial sum is bounded by n·n' < 2^126.
   double JoinEstimate(const LdpJoinSketchServer& other, double shift = 0.0,
                       double other_shift = 0.0) const;
 
@@ -301,7 +308,8 @@ class LdpJoinSketchServer {
   /// serialize → deserialize → merge is bit-exact; finalized sketches carry
   /// the transformed double cells. Pre-v2 buffers (no magic) are rejected
   /// with a clear Corruption error, and so is any truncation or trailing
-  /// byte, and raw lanes whose L1 norm exceeds the declared report count.
+  /// byte, a report count above kMaxSketchReports, and raw lanes whose L1
+  /// norm exceeds the declared report count.
   /// Deserialize builds a fresh shape for the sketch.
   std::vector<uint8_t> Serialize() const;
   /// The raw encoding of the lanes, which a finalized sketch keeps: the

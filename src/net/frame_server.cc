@@ -41,6 +41,13 @@ constexpr size_t kMaxDepartedRows = 64;
 /// for at most this long before the write fails and the connection is cut.
 constexpr int kSendTimeoutSeconds = 30;
 
+/// EPOCH_PUSH refuses a snapshot that would take the reports pushed to this
+/// server past 2^62. Its shards then count at most 2^62 pushed reports plus
+/// what DATA frames absorb, which cannot reach another 2^62 in any server's
+/// lifetime, so no shard or merged view passes kMaxSketchReports and no lane
+/// overflows.
+constexpr uint64_t kMaxPushedReports = uint64_t{1} << 62;
+
 }  // namespace
 
 FrameServer::FrameServer(const SketchParams& params, double epsilon,
@@ -150,16 +157,22 @@ void FrameServer::AcceptLoop() {
     conn->socket = std::move(*socket);
     Connection* raw = conn.get();
     {
-      // Spawn and register in one critical section. The reader may count a
-      // frame and exit at once (HELLO, one bad frame, EOF), so it must not
-      // run before metrics() can see its connection. And the reaper, which
-      // runs under mu_, must never see raw->reader as an empty handle.
+      // Register before the reader runs: it may count a frame and exit at
+      // once (HELLO, one bad frame, EOF), and metrics() must see its
+      // connection first.
       MutexLock lock(mu_);
-      raw->reader = std::thread(&FrameServer::ReaderLoop, this, raw);
       connections_.push_back(std::move(conn));
       // A Stop() racing this accept has already swept the registered
       // sockets; cover the newcomer so its reader is unblocked too.
       if (stopping_) raw->socket.ShutdownBoth();
+    }
+    // Spawned outside mu_. The reaper skips the connection until its
+    // handle is assigned, so it never joins an empty one.
+    std::thread reader(&FrameServer::ReaderLoop, this, raw);
+    {
+      MutexLock lock(mu_);
+      raw->reader = std::move(reader);
+      raw->reader_assigned = true;
     }
   }
 }
@@ -483,8 +496,10 @@ bool FrameServer::HandleEpochPush(Connection& conn, InboundFrame& frame) {
     }
     snapshot.emplace(std::move(*decoded));
   }
+  const uint64_t reports = heartbeat ? 0 : snapshot->total_reports();
   EpochPushAck ack;
   bool fresh = false;
+  bool over_bound = false;
   {
     MutexLock lock(mu_);
     RegionState& region = regions_[push->region_id];
@@ -498,6 +513,8 @@ bool FrameServer::HandleEpochPush(Connection& conn, InboundFrame& frame) {
       while (region.inflight.count(push->epoch) != 0) drain_cv_.Wait(mu_);
       ++region.metrics.duplicates_ignored;
       ack.code = EpochPushAckCode::kDuplicate;
+    } else if (reports > kMaxPushedReports - pushed_reports_) {
+      over_bound = true;  // refused before it reserves an epoch
     } else {
       // Reserve the epoch under mu_, merge outside it: a concurrent retry
       // of the same (region, epoch) blocks above until this merge
@@ -506,8 +523,15 @@ bool FrameServer::HandleEpochPush(Connection& conn, InboundFrame& frame) {
       // global mutex.
       region.next_epoch = push->epoch + 1;
       region.inflight.insert(push->epoch);
+      pushed_reports_ += reports;
       fresh = true;
     }
+  }
+  if (over_bound) {
+    RejectCorrupt(conn, Status::FailedPrecondition(
+                            "pushed reports would exceed " +
+                            std::to_string(kMaxPushedReports)));
+    return false;
   }
   if (fresh) {
     if (!heartbeat) {
@@ -581,7 +605,8 @@ void FrameServer::ReapFinishedConnections() {
   {
     MutexLock lock(mu_);
     for (auto& conn : connections_) {
-      if (conn->reader_done && conn->data_inflight == 0) {
+      if (conn->reader_assigned && conn->reader_done &&
+          conn->data_inflight == 0) {
         // Counters are final here: the reader mutates them only before
         // setting reader_done, the pumps only while inflight is non-zero.
         // Snapshot into departed_ in the same critical section that removes

@@ -236,6 +236,9 @@ class FrameServer {
     /// below carry their discipline as comments; the enclosing class's
     /// annotated methods are where the analysis enforces it.
     Mutex write_mu;
+    /// Set once `reader` holds the thread: the reaper skips the connection
+    /// until then. Guarded by FrameServer::mu_.
+    bool reader_assigned = false;
     bool reader_done = false;  ///< guarded by FrameServer::mu_
     /// Queued-but-unabsorbed DATA (inline frames never count); mu_.
     uint64_t data_inflight = 0;
@@ -408,6 +411,8 @@ class FrameServer {
   ConnectionMetrics departed_folded_ LDPJS_GUARDED_BY(mu_);
   uint64_t connections_folded_ LDPJS_GUARDED_BY(mu_) = 0;
   std::map<uint32_t, RegionState> regions_ LDPJS_GUARDED_BY(mu_);
+  /// Reports of every EPOCH_PUSH reserved so far, merged or merging.
+  uint64_t pushed_reports_ LDPJS_GUARDED_BY(mu_) = 0;
   bool started_ LDPJS_GUARDED_BY(mu_) = false;
   bool stopping_ LDPJS_GUARDED_BY(mu_) = false;
   bool stopped_ LDPJS_GUARDED_BY(mu_) = false;

@@ -105,7 +105,8 @@ enum class NetFrameType : uint8_t {
   /// heartbeat (the region had nothing to ship but its epoch clock still
   /// advances, so an idle region never freezes the windowed view's
   /// aligned frontier). Ordered after the connection's DATA like the
-  /// other control frames.
+  /// other control frames. A push that would take the reports pushed to
+  /// the server past 2^62 is refused with a FailedPrecondition ERROR.
   kEpochPush = 12,
   /// Ack for kEpochPush: an EpochPushAckCode byte plus the server's
   /// next-expected epoch for the pushing region (see EpochPushAck).
@@ -271,9 +272,10 @@ size_t EpochPushPayloadBound(const SketchParams& params);
 /// one immutable snapshot, so the reply is internally consistent even
 /// while ingest and epoch cuts run concurrently.
 enum class QueryKind : uint8_t {
-  /// Join size |view ⋈ probe|: the probe payload is a serialized
-  /// LdpJoinSketchServer for the other table (raw lanes are finalized
-  /// server-side; params/seed must match the view's sketch).
+  /// Join size |view ⋈ probe|: the probe payload is the raw-lane encoding
+  /// of an LdpJoinSketchServer for the other table, joined on its lanes
+  /// without being finalized (params/seed must match the view's sketch).
+  /// A probe in the finalized encoding holds no lanes: InvalidArgument.
   kJoinSize = 0,
   /// Thm-7 frequency estimate f̂(key).
   kFrequency = 1,

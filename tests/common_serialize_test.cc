@@ -89,10 +89,8 @@ TEST(SerializeTest, OversizedVectorLengthRejected) {
   EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
 }
 
-TEST(SerializeTest, LaneVectorBoundsItsL1NormAcrossBlocks) {
-  // Past 2^20 values the L1 sum runs in blocks; one value of 2^44 or more
-  // sends its block down the one-value-at-a-time path.
-  std::vector<int64_t> lanes((size_t{1} << 20) + 5, -1);
+TEST(SerializeTest, LaneVectorBoundsItsL1Norm) {
+  std::vector<int64_t> lanes(1000, -1);
   lanes[7] = int64_t{1} << 50;
   BinaryWriter writer;
   writer.PutI64Vector(lanes);
@@ -105,14 +103,18 @@ TEST(SerializeTest, LaneVectorBoundsItsL1NormAcrossBlocks) {
   BinaryReader over(writer.buffer());
   EXPECT_EQ(over.GetLaneVector(lanes.size(), l1 - 1, out).code(),
             StatusCode::kCorruption);
-  lanes[7] = -1;  // every block on the vectorized path
-  BinaryWriter small;
-  small.PutI64Vector(lanes);
-  BinaryReader fast(small.buffer());
-  EXPECT_EQ(fast.GetLaneVector(lanes.size(), lanes.size() - 1, out).code(),
+  // |INT64_MIN| is 2^63, and two of them sum past UINT64_MAX: the check
+  // must not wrap.
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  const std::vector<int64_t> one = {min, 0}, two = {min, min};
+  BinaryWriter one_min, two_min;
+  one_min.PutI64Vector(one);
+  two_min.PutI64Vector(two);
+  BinaryReader fits(one_min.buffer());
+  EXPECT_TRUE(fits.GetLaneVector(2, uint64_t{1} << 63, out).ok());
+  BinaryReader wraps(two_min.buffer());
+  EXPECT_EQ(wraps.GetLaneVector(2, UINT64_MAX, out).code(),
             StatusCode::kCorruption);
-  BinaryReader fits(small.buffer());
-  EXPECT_TRUE(fits.GetLaneVector(lanes.size(), lanes.size(), out).ok());
 }
 
 TEST(SerializeTest, TakeBufferMovesOutData) {

@@ -1,6 +1,7 @@
 // The lane-domain join: LdpJoinSketchServer::JoinEstimate, and JoinEst
 // through it, against the cells-domain join computed here from finalized
-// cells, and the exact integer dot at the edge of int64.
+// cells, the exact integer dot at the edge of int64, and the report bound
+// that keeps every lane inside int64.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -178,16 +179,16 @@ TEST(LdpServerLaneJoinTest, DotIsExactOnBothSidesOfInt64) {
   };
   const int64_t p31 = int64_t{1} << 31, p32 = int64_t{1} << 32;
   const int64_t p40 = int64_t{1} << 40;
-  const int64_t min = std::numeric_limits<int64_t>::min();
+  const int64_t max = std::numeric_limits<int64_t>::max();
   const std::vector<Case> cases = {
-      // n_a·n_b = 2^63 − 2^32: int64, and |dot| is just below 2^63.
+      // n_a·n_b = 2^63 − 2^32, and |dot| is just below 2^63.
       {uint64_t{1} << 32, {p32 - 5, -5}, (uint64_t{1} << 31) - 1,
        {-(p31 - 2), 1}},
       // n_a·n_b = 2^63: the dot itself is 2^63, one past INT64_MAX.
       {uint64_t{1} << 32, {p32, 0}, uint64_t{1} << 31, {p31, 0}},
       {uint64_t{1} << 40, {p40 - 1, 1}, uint64_t{1} << 40, {p40 - 3, 3}},
-      // The largest lane: 2^126.
-      {UINT64_MAX, {min, 0}, UINT64_MAX, {min, 0}},
+      // The largest lanes: (2^63 − 1)².
+      {kMaxSketchReports, {max, 0}, kMaxSketchReports, {-max, 0}},
   };
   for (const Case& c : cases) {
     auto a = like.DeserializeLike(RawBytes(params, epsilon, c.n_a, c.a));
@@ -204,6 +205,7 @@ TEST(LdpServerLaneJoinTest, DotIsExactOnBothSidesOfInt64) {
 TEST(LdpServerLaneJoinTest, LanesBeyondTheReportCountAreCorruption) {
   const SketchParams params = Params(1, 2);
   const LdpJoinSketchServer like(params, 1.0);
+  const int64_t max = std::numeric_limits<int64_t>::max();
   const int64_t min = std::numeric_limits<int64_t>::min();
   const auto decode = [&](uint64_t total, std::vector<int64_t> lanes) {
     return like.DeserializeLike(RawBytes(params, 1.0, total, lanes))
@@ -213,13 +215,35 @@ TEST(LdpServerLaneJoinTest, LanesBeyondTheReportCountAreCorruption) {
   EXPECT_EQ(decode(4, {3, -1}), StatusCode::kOk);
   EXPECT_EQ(decode(4, {3, -2}), StatusCode::kCorruption);
   EXPECT_EQ(decode(0, {0, 1}), StatusCode::kCorruption);
-  EXPECT_EQ(decode(UINT64_MAX, {min, 0}), StatusCode::kOk);
-  // L1 = 2^64: the check must not wrap.
-  EXPECT_EQ(decode(UINT64_MAX, {min, min}), StatusCode::kCorruption);
+  EXPECT_EQ(decode(kMaxSketchReports, {-max, 0}), StatusCode::kOk);
+  EXPECT_EQ(decode(kMaxSketchReports, {min, 0}), StatusCode::kCorruption);
+  EXPECT_EQ(decode(kMaxSketchReports, {max, -1}), StatusCode::kCorruption);
+  // No sketch may count more reports than a lane can hold.
+  EXPECT_EQ(decode(kMaxSketchReports + 1, {0, 0}), StatusCode::kCorruption);
+  EXPECT_EQ(decode(UINT64_MAX, {min, 0}), StatusCode::kCorruption);
   const std::vector<int64_t> over = {3, -2};
   EXPECT_EQ(
       LdpJoinSketchServer::Deserialize(RawBytes(params, 1.0, 4, over)).status().code(),
       StatusCode::kCorruption);
+}
+
+TEST(LdpServerDeathTest, MergePastTheReportBoundAborts) {
+  // Two sketches of 2^62 reports each, all on one lane: their sum would be
+  // a lane of 2^63, one past INT64_MAX.
+  const SketchParams params = Params(1, 2);
+  const LdpJoinSketchServer like(params, 1.0);
+  const uint64_t half = uint64_t{1} << 62;
+  const std::vector<int64_t> lanes = {int64_t{1} << 62, 0};
+  auto a = like.DeserializeLike(RawBytes(params, 1.0, half, lanes));
+  auto b = like.DeserializeLike(RawBytes(params, 1.0, half, lanes));
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_DEATH(a->Merge(*b), "LDPJS_CHECK failed");
+  const std::vector<int64_t> none = {0, 0};
+  auto c = like.DeserializeLike(RawBytes(params, 1.0, half - 1, none));
+  ASSERT_TRUE(c.ok());
+  a->Merge(*c);  // 2^63 − 1 reports: the bound itself
+  EXPECT_EQ(a->total_reports(), kMaxSketchReports);
+  EXPECT_EQ(a->lane(0, 0), int64_t{1} << 62);
 }
 
 }  // namespace

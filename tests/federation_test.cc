@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "common/socket.h"
 #include "federation/central_node.h"
 #include "federation/regional_node.h"
@@ -279,6 +280,74 @@ TEST(FederationTest, CorruptOrMismatchedPushesRejected) {
   direct.AbsorbBatch(reports);
   direct.Finalize();
   EXPECT_EQ(merged.Serialize(), direct.Serialize());
+}
+
+/// A raw epoch snapshot declaring `reports` reports, every one on lane
+/// (0, 0): the most a decodable sketch can put on one lane.
+std::vector<uint8_t> OneLaneSnapshot(const SketchParams& params,
+                                     double epsilon, uint64_t reports) {
+  const std::vector<uint8_t> empty =
+      LdpJoinSketchServer(params, epsilon).Serialize();
+  const size_t total_at = 4 + 1 + 4 + 4 + 8 + 8;  // magic .. epsilon
+  BinaryWriter writer;
+  for (size_t i = 0; i < total_at; ++i) writer.PutU8(empty[i]);
+  writer.PutU64(reports);
+  writer.PutU8(0);  // raw lanes
+  std::vector<int64_t> lanes(static_cast<size_t>(params.k) * params.m, 0);
+  lanes[0] = static_cast<int64_t>(reports);
+  writer.PutI64Vector(lanes);
+  return writer.TakeBuffer();
+}
+
+// Two snapshots of 2^62 reports on one lane would merge into a lane of
+// 2^63, past INT64_MAX. The central refuses any push that takes the reports
+// pushed to it past 2^62, before it reserves the epoch, and keeps serving.
+TEST(FederationTest, PushesPastTheReportBoundAreRefused) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  CentralNodeOptions options;
+  CentralNode central(params, epsilon, options);
+  ASSERT_TRUE(central.Start().ok());
+  const uint64_t bound = uint64_t{1} << 62;
+  const std::vector<uint8_t> full = OneLaneSnapshot(params, epsilon, bound);
+  {
+    auto sender =
+        FrameSender::Connect("127.0.0.1", central.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok());
+    auto pushed = sender->PushEpochSnapshot(1, 0, full);
+    ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  }
+  for (uint32_t region : {1u, 2u, 3u}) {
+    auto sender =
+        FrameSender::Connect("127.0.0.1", central.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok());
+    auto pushed = sender->PushEpochSnapshot(region, 1, full);
+    EXPECT_EQ(pushed.status().code(), StatusCode::kFailedPrecondition);
+  }
+  {  // One report more is refused too; a heartbeat still advances epoch 1.
+    auto sender =
+        FrameSender::Connect("127.0.0.1", central.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok());
+    auto one = sender->PushEpochSnapshot(
+        1, 1, OneLaneSnapshot(params, epsilon, 1));
+    EXPECT_EQ(one.status().code(), StatusCode::kFailedPrecondition);
+  }
+  auto sender =
+      FrameSender::Connect("127.0.0.1", central.port(), params, epsilon);
+  ASSERT_TRUE(sender.ok());
+  auto heartbeat = sender->PushEpochSnapshot(1, 1, {});
+  ASSERT_TRUE(heartbeat.ok()) << heartbeat.status().ToString();
+  ASSERT_TRUE(sender->Finish().ok());
+  central.Stop();
+  const NetMetrics metrics = central.metrics();
+  EXPECT_EQ(metrics.epochs_applied, 1u);
+  EXPECT_EQ(metrics.corrupt_frames_rejected, 4u);
+  LdpJoinSketchServer merged = central.Finalize();
+  EXPECT_EQ(merged.total_reports(), bound);
+  EXPECT_EQ(merged.lane(0, 0), static_cast<int64_t>(bound));
+  auto pushed = LdpJoinSketchServer::Deserialize(full);
+  ASSERT_TRUE(pushed.ok());
+  EXPECT_EQ(merged.JoinEstimate(merged), pushed->JoinEstimate(*pushed));
 }
 
 // A restarted region (same region_id, fresh process/incarnation) must not

@@ -653,15 +653,20 @@ int RunEstimate(int argc, char** argv) {
                "identical estimate");
   flags.Parse(argc, argv);
 
-  auto load = [](const std::string& path) -> Result<LdpJoinSketchServer> {
+  // b decodes against a's shape: a file of another k, m or seed is
+  // FailedPrecondition here, not a CHECK failure in JoinEstimate.
+  auto load = [](const std::string& path, const LdpJoinSketchServer* like)
+      -> Result<LdpJoinSketchServer> {
     std::vector<uint8_t> bytes;
     if (!ReadFile(path, bytes)) {
       return Status::NotFound("cannot read " + path);
     }
-    return LdpJoinSketchServer::Deserialize(bytes);
+    return like == nullptr ? LdpJoinSketchServer::Deserialize(bytes)
+                           : like->DeserializeLike(bytes);
   };
-  auto sketch_a = load(flags.GetString("sketch-a"));
-  auto sketch_b = load(flags.GetString("sketch-b"));
+  auto sketch_a = load(flags.GetString("sketch-a"), nullptr);
+  auto sketch_b = load(flags.GetString("sketch-b"),
+                       sketch_a.ok() ? &*sketch_a : nullptr);
   if (!sketch_a.ok() || !sketch_b.ok()) {
     std::fprintf(stderr, "cannot load sketches: %s / %s\n",
                  sketch_a.ok() ? "ok" : sketch_a.status().ToString().c_str(),
