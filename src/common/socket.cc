@@ -162,17 +162,15 @@ Result<Socket> Socket::Accept() const {
       return Socket(fd);
     }
     if (errno == EINTR) continue;  // a signal is not a dead listener
-    // Transient, connection-scoped conditions are worth retrying: the
-    // aborted handshake's successor may be fine, and buffer pressure
-    // drains. Process-scoped conditions (fd exhaustion, a bad listener fd)
-    // fail every subsequent accept identically — retrying is a spin loop —
-    // so they surface as Internal and the acceptor should stop.
-    if (errno == ECONNABORTED || errno == EAGAIN || errno == EWOULDBLOCK ||
-        errno == ENOBUFS || errno == ENOMEM || errno == EPROTO) {
-      return Status::Unavailable(std::string("accept: ") +
-                                 std::strerror(errno));
+    // Only a listener that is closed, shut down or not a listening socket
+    // fails every later accept the same way. Everything else passes: the
+    // aborted handshake's successor may be fine, buffer pressure drains,
+    // and a full fd table frees up as connections close.
+    if (errno == EBADF || errno == EINVAL || errno == ENOTSOCK ||
+        errno == EFAULT) {
+      return Status::Internal(std::string("accept: ") + std::strerror(errno));
     }
-    return Status::Internal(std::string("accept: ") + std::strerror(errno));
+    return Status::Unavailable(std::string("accept: ") + std::strerror(errno));
   }
 }
 

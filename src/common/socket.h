@@ -53,10 +53,11 @@ class Socket {
                                    std::string fault_site = {});
 
   /// Accepts one connection (blocking) with TCP_NODELAY set. Failures are
-  /// classified: Unavailable for transient conditions worth retrying
-  /// (ECONNABORTED, EAGAIN, ENOBUFS, ENOMEM, EPROTO — and a shut-down
-  /// listener); Internal for conditions where retrying can only spin
-  /// (EMFILE, ENFILE, EBADF, EINVAL, ...), which should stop the acceptor.
+  /// classified: Internal when the listener is closed, shut down or not a
+  /// listening socket (EBADF, EINVAL, ENOTSOCK, EFAULT), where a retry can
+  /// only fail the same way; Unavailable for everything else, all worth
+  /// retrying after a backoff (ECONNABORTED, ENOBUFS, EPROTO, and fd
+  /// exhaustion — EMFILE, ENFILE — which passes as connections close).
   Result<Socket> Accept() const;
 
   /// Sends the whole span (looping over partial writes).

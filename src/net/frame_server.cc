@@ -110,70 +110,90 @@ Status FrameServer::Start() {
   // Initial empty publication: CurrentPublishedView() is never null once
   // the server is up, so query paths have no "not yet published" branch.
   PublishView();
-  acceptor_ = std::thread(&FrameServer::AcceptLoop, this);
   for (size_t s = 0; s < lanes_.size(); ++s) {
     lanes_[s]->pump = std::thread(&FrameServer::PumpLoop, this, s);
   }
+  MutexLock lock(mu_);
+  SpawnWorker();
   return Status::OK();
 }
 
-void FrameServer::AcceptLoop() {
-  // Jittered backoff between transient accept failures: bursts of aborted
-  // handshakes or buffer pressure back the acceptor off without parking it
-  // on a fixed interval.
-  Backoff backoff(
-      BackoffOptions{.base_micros = 1000, .cap_micros = 200000, .seed = 1});
+void FrameServer::SpawnWorker() {
+  ++accepting_workers_;
+  // Under mu_: the handle is in workers_ before the worker can take mu_ to
+  // retire it.
+  workers_.emplace_back(&FrameServer::ReaderWorker, this, ++workers_spawned_);
+}
+
+void FrameServer::RetireWorker() {
+  const auto self = std::find_if(
+      workers_.begin(), workers_.end(), [](const std::thread& worker) {
+        return worker.get_id() == std::this_thread::get_id();
+      });
+  retired_workers_.push_back(std::move(*self));
+  workers_.erase(self);
+}
+
+void FrameServer::ReaderWorker(uint64_t backoff_seed) {
+  // Jittered backoff between failed accepts: aborted handshakes, buffer
+  // pressure or a full fd table back the worker off without spinning and
+  // without parking it on a fixed interval.
+  Backoff backoff(BackoffOptions{
+      .base_micros = 1000, .cap_micros = 200000, .seed = backoff_seed});
   for (;;) {
-    // Reap ahead of each accept, so a server that has handled millions of
-    // short-lived clients holds live connections plus one metrics row per
-    // departed one, not their queues/threads/sockets.
-    ReapFinishedConnections();
-    auto socket = listener_.Accept();
-    {
-      MutexLock lock(mu_);
-      if (stopping_) return;
-    }
-    if (!socket.ok()) {
-      if (socket.status().code() == StatusCode::kInternal) {
-        // Process-scoped accept failure (fd exhaustion, bad listener):
-        // every retry would fail identically, so spinning only burns a
-        // core. Count it and stop accepting; existing sessions continue.
-        accept_fatal_.fetch_add(1, std::memory_order_relaxed);
-        return;
+    Result<Socket> accepted = listener_.Accept();
+    if (!accepted.ok()) {
+      const bool listener_dead =
+          accepted.status().code() == StatusCode::kInternal;
+      {
+        MutexLock lock(mu_);
+        if (stopping_) return;  // Stop() joins this worker
+        if (listener_dead) {
+          // The listener is closed or no longer listening: every retry
+          // would fail the same way, so this worker stops accepting.
+          accept_fatal_.fetch_add(1, std::memory_order_relaxed);
+          --accepting_workers_;
+          RetireWorker();
+          return;
+        }
       }
       accept_failures_.fetch_add(1, std::memory_order_relaxed);
+      const uint64_t slept_before = backoff.total_micros();
       backoff.SleepNext();
-      accept_backoff_micros_.store(backoff.total_micros(),
-                                   std::memory_order_relaxed);
+      accept_backoff_micros_.fetch_add(backoff.total_micros() - slept_before,
+                                       std::memory_order_relaxed);
       continue;
     }
     backoff.Reset();  // a successful accept ends the incident
-    socket->SetSendTimeout(kSendTimeoutSeconds);
+    Connection conn;
+    conn.socket = std::move(*accepted);
+    conn.socket.SetSendTimeout(kSendTimeoutSeconds);
     if (options_.idle_timeout_seconds > 0) {
-      socket->SetRecvTimeout(options_.idle_timeout_seconds);
+      conn.socket.SetRecvTimeout(options_.idle_timeout_seconds);
     }
-    auto conn = std::make_unique<Connection>();
-    conn->id = connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    conn->socket = std::move(*socket);
-    Connection* raw = conn.get();
     {
-      // Register before the reader runs: it may count a frame and exit at
-      // once (HELLO, one bad frame, EOF), and metrics() must see its
-      // connection first.
+      // Checked with the registration, so once Stop() has set stopping_
+      // and shut down every registered socket no connection joins them: a
+      // late one is closed unread.
       MutexLock lock(mu_);
-      connections_.push_back(std::move(conn));
-      // A Stop() racing this accept has already swept the registered
-      // sockets; cover the newcomer so its reader is unblocked too.
-      if (stopping_) raw->socket.ShutdownBoth();
+      if (stopping_) return;
+      conn.id = connections_accepted_.fetch_add(1, std::memory_order_relaxed);
+      connections_.push_back(&conn);
+      if (--accepting_workers_ == 0) SpawnWorker();
     }
-    // Spawned outside mu_. The reaper skips the connection until its
-    // handle is assigned, so it never joins an empty one.
-    std::thread reader(&FrameServer::ReaderLoop, this, raw);
+    ReaderLoop(&conn);
+    std::vector<std::thread> retired;
     {
       MutexLock lock(mu_);
-      raw->reader = std::move(reader);
-      raw->reader_assigned = true;
+      if (stopping_) return;
+      if (accepting_workers_ >= kMaxIdleWorkers) {
+        RetireWorker();
+        return;
+      }
+      ++accepting_workers_;
+      retired.swap(retired_workers_);
     }
+    for (std::thread& worker : retired) worker.join();
   }
 }
 
@@ -355,23 +375,37 @@ void FrameServer::ReaderLoop(Connection* conn) {
     session_open = (this->*route->handler)(*conn, frame);
   }
 
-  // Reap peers that finished before us (we cannot reap ourselves — the
-  // next exiting reader, the next accept, or Stop picks this one up), so
-  // an idle listener retains only the final straggler(s) instead of
-  // accumulating fds and unjoined threads until the next accept.
-  ReapFinishedConnections();
   {
     MutexLock lock(mu_);
-    // Close the fd now rather than at reaping, which waits for the next
-    // accept, reader exit or Stop. A peer blocked mid-send on a full
-    // receive window never gets the reset shutdown() promises — Linux sends
-    // it only when more bytes arrive — so it stays parked until its own
-    // send timeout; close() resets it at once. Waiting out the in-flight
-    // DATA first means no pump can still reply on the fd, and closing under
-    // mu_ means no Stop()/DisconnectClients() shutdown can hit a reused fd.
+    // Close the fd at once: a peer blocked mid-send on a full receive
+    // window never gets the reset shutdown() promises — Linux sends it only
+    // when more bytes arrive — so it stays parked until its own send
+    // timeout; close() resets it at once. Waiting out the in-flight DATA
+    // first means no pump can still reply on the fd or touch `conn`, and
+    // closing under mu_ means no Stop()/DisconnectClients() shutdown can
+    // hit a reused fd.
     while (conn->data_inflight != 0) drain_cv_.Wait(mu_);
     conn->socket.Close();
-    conn->reader_done = true;
+    // The counters are final now. Snapshot them into departed_ in the
+    // critical section that removes the live entry, so a concurrent
+    // metrics() sees the connection exactly once and totals stay monotone.
+    std::erase(connections_, conn);
+    ConnectionMetrics final_row = SnapshotConnection(*conn);
+    final_row.active = false;
+    departed_.push_back(final_row);
+    // Bound the departed rows: under a reconnect storm (millions of
+    // short-lived sessions) the oldest rows fold into one accumulator, so
+    // metrics memory is O(kMaxDepartedRows) while every total stays exact
+    // and monotone.
+    while (departed_.size() > kMaxDepartedRows) {
+      const ConnectionMetrics& old = departed_.front();
+      departed_folded_.frames_received += old.frames_received;
+      departed_folded_.bytes_received += old.bytes_received;
+      departed_folded_.reports_ingested += old.reports_ingested;
+      departed_folded_.corrupt_frames_rejected += old.corrupt_frames_rejected;
+      departed_.pop_front();
+      ++connections_folded_;
+    }
   }
   drain_cv_.NotifyAll();
 }
@@ -590,53 +624,6 @@ bool FrameServer::HandleEpochPush(Connection& conn, InboundFrame& frame) {
   return Reply(conn, NetFrameType::kEpochPushOk, EncodeEpochPushAck(ack));
 }
 
-bool FrameServer::AllReadersDone() const {
-  for (const auto& conn : connections_) {
-    if (!conn->reader_done) return false;
-  }
-  return true;
-}
-
-void FrameServer::ReapFinishedConnections() {
-  // A connection whose reader exited and whose queued frames are all
-  // absorbed is finished for good: join the thread, keep its final counter
-  // snapshot, free everything else.
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    MutexLock lock(mu_);
-    for (auto& conn : connections_) {
-      if (conn->reader_assigned && conn->reader_done &&
-          conn->data_inflight == 0) {
-        // Counters are final here: the reader mutates them only before
-        // setting reader_done, the pumps only while inflight is non-zero.
-        // Snapshot into departed_ in the same critical section that removes
-        // the live entry, so a concurrent metrics() always sees the
-        // connection exactly once and aggregate totals stay monotonic.
-        ConnectionMetrics final_row = SnapshotConnection(*conn);
-        final_row.active = false;
-        departed_.push_back(final_row);
-        finished.push_back(std::move(conn));
-      }
-    }
-    std::erase_if(connections_,
-                  [](const std::unique_ptr<Connection>& c) { return !c; });
-    // Bound the departed rows: under a reconnect storm (millions of
-    // short-lived sessions) the oldest rows fold into one accumulator, so
-    // metrics memory is O(kMaxDepartedRows) while every total stays exact
-    // and monotone.
-    while (departed_.size() > kMaxDepartedRows) {
-      const ConnectionMetrics& old = departed_.front();
-      departed_folded_.frames_received += old.frames_received;
-      departed_folded_.bytes_received += old.bytes_received;
-      departed_folded_.reports_ingested += old.reports_ingested;
-      departed_folded_.corrupt_frames_rejected += old.corrupt_frames_rejected;
-      departed_.pop_front();
-      ++connections_folded_;
-    }
-  }
-  for (auto& conn : finished) conn->reader.join();
-}
-
 void FrameServer::PumpLoop(size_t shard) {
   ShardLane& lane = *lanes_[shard];
   for (;;) {
@@ -644,8 +631,8 @@ void FrameServer::PumpLoop(size_t shard) {
     {
       MutexLock lock(mu_);
       // Sleep until there is an item to pump, or — during shutdown, once
-      // every reader has exited (no producer remains) — the queue is dry.
-      while (lane.queue.empty() && !(stopping_ && AllReadersDone())) {
+      // every connection is gone (no producer remains) — the queue is dry.
+      while (lane.queue.empty() && !(stopping_ && connections_.empty())) {
         lane.work_cv.Wait(mu_);
       }
       if (lane.queue.empty()) return;  // fully drained
@@ -935,34 +922,43 @@ std::string FrameServer::StatsJson() const {
 
 void FrameServer::DisconnectClients() {
   MutexLock lock(mu_);
-  for (auto& conn : connections_) conn->socket.ShutdownBoth();
+  for (Connection* conn : connections_) conn->socket.ShutdownBoth();
 }
 
 void FrameServer::Stop() {
   {
     MutexLock lock(mu_);
     if (!started_ || stopped_) return;
+    // From here on no worker registers a connection, spawns or retires:
+    // each checks stopping_ in the critical section where it would.
     stopping_ = true;
     // Disconnect whoever is still attached: readers blocked in recv see
     // EOF and exit, so Stop cannot hang on an idle or silent client. A
     // client that completed Finish() has already been fully ingested; any
     // frames the stragglers queued are still drained by the pumps below.
-    for (auto& conn : connections_) conn->socket.ShutdownBoth();
+    for (Connection* conn : connections_) conn->socket.ShutdownBoth();
   }
   space_cv_.NotifyAll();
   drain_cv_.NotifyAll();
-  listener_.ShutdownBoth();
-  acceptor_.join();
-  // Registration is complete once the acceptor is joined; wait for every
-  // reader to exit, so no producer can enqueue behind a pump's back.
+  listener_.ShutdownBoth();  // wakes every worker blocked in accept()
+  // The connections just shut down are the last ones: wait until their
+  // readers are done, so no producer can enqueue behind a pump's back.
   {
     MutexLock lock(mu_);
-    while (!AllReadersDone()) drain_cv_.Wait(mu_);
+    while (!connections_.empty()) drain_cv_.Wait(mu_);
   }
   // Pumps drain their queues dry, then exit.
   for (auto& lane : lanes_) lane->work_cv.NotifyAll();
   for (auto& lane : lanes_) lane->pump.join();
-  ReapFinishedConnections();
+  std::vector<std::thread> workers;
+  std::vector<std::thread> retired;
+  {
+    MutexLock lock(mu_);
+    workers.swap(workers_);
+    retired.swap(retired_workers_);
+  }
+  for (std::thread& worker : workers) worker.join();
+  for (std::thread& worker : retired) worker.join();
   listener_.Close();
   {
     MutexLock lock(mu_);
@@ -984,7 +980,7 @@ ConnectionMetrics FrameServer::SnapshotConnection(
     const Connection& conn) const {
   ConnectionMetrics c;
   c.id = conn.id;
-  c.active = !conn.reader_done;
+  c.active = true;  // a departing connection's row is flipped by its reader
   c.frames_received = conn.frames_received.load(std::memory_order_relaxed);
   c.bytes_received = conn.bytes_received.load(std::memory_order_relaxed);
   c.reports_ingested = conn.reports_ingested.load(std::memory_order_relaxed);
@@ -1033,7 +1029,7 @@ NetMetrics FrameServer::metrics() const {
     }
   }
   m.connections.assign(departed_.begin(), departed_.end());
-  for (const auto& conn : connections_) {
+  for (const Connection* conn : connections_) {
     m.connections.push_back(SnapshotConnection(*conn));
   }
   // Totals start from the folded accumulator so they cover every

@@ -7,15 +7,21 @@
 // ShardedAggregator.
 //
 // Threading model (shard-affine ingest, small frames run to completion):
-//   - one acceptor thread;
-//   - one reader thread per connection, which does the HELLO handshake,
-//     reads frames through the connection's FrameReader buffer and
-//     dispatches each through one route table (RouteFor). A DATA frame is
-//     routed to a shard connection-local round-robin. A small one (at most
+//   - reader workers. A worker accepts a connection itself, registers it,
+//     reads that session to its end on the same thread and goes back to
+//     accept(): there is no acceptor thread and no handoff. A worker that
+//     takes the last accepting slot spawns one more, so every live
+//     connection has its own blocking reader; idle workers above
+//     kMaxIdleWorkers retire, so a steady stream of short sessions spawns
+//     and joins no threads;
+//   - the reader does the HELLO handshake, reads frames through the
+//     connection's FrameReader buffer and dispatches each through one
+//     route table (RouteFor). A DATA frame is routed to a shard
+//     connection-local round-robin. A small one (at most
 //     kInlineAbsorbMaxReports reports, read from the frame's length) is
 //     absorbed right there on the reader, under that shard's lock; a larger
 //     one goes onto the shard's bounded queue. Every other request is
-//     handled on the reader thread itself;
+//     handled on the reader itself;
 //   - one ingest pump thread per shard, draining that shard's queue. A
 //     small frame costs one absorb instead of a cross-thread handoff, and
 //     N shards' pumps still spread bulk frames over N cores.
@@ -91,9 +97,10 @@ struct FrameServerOptions {
   BackpressurePolicy backpressure = BackpressurePolicy::kBlock;
   /// SO_RCVTIMEO on accepted sockets — the idle-connection watchdog: a
   /// client that goes silent for this long is reaped (counted in
-  /// idle_reaped) and its fd/thread reclaimed. 0 (default) disables the
-  /// deadline: a regional shipper legitimately idles between epochs, so
-  /// only deployments that know their traffic cadence should arm this.
+  /// idle_reaped), its fd closed and its reader freed. 0 (default)
+  /// disables the deadline: a regional shipper legitimately idles between
+  /// epochs, so only deployments that know their traffic cadence should
+  /// arm this.
   int idle_timeout_seconds = 0;
   /// Called exactly once per fresh (region, epoch) EPOCH_PUSH, after the
   /// snapshot is merged into the lanes and before the push is acked — the
@@ -131,6 +138,16 @@ struct FrameServerOptions {
 
 class FrameServer {
  public:
+  /// Reader workers that may wait in accept() at once: a worker whose
+  /// session ends while this many already wait retires instead. Each
+  /// waiting worker parks one stack and holds one descriptor, which Linux
+  /// reserves before accept() blocks. Clients that reconnect back to back
+  /// find workers still finishing their last sessions, so the bound must
+  /// exceed their count or reconnects keep spawning: over 10 s of the
+  /// ledger's ingest_small (4 such clients, 4-vCPU Xeon) this bound spawned
+  /// 7 workers in 133,588 sessions, and a bound of 4 spawned 3,889.
+  static constexpr size_t kMaxIdleWorkers = 8;
+
   /// Params/epsilon every client HELLO must match bit for bit.
   FrameServer(const SketchParams& params, double epsilon,
               const FrameServerOptions& options);
@@ -139,7 +156,8 @@ class FrameServer {
   FrameServer(const FrameServer&) = delete;
   FrameServer& operator=(const FrameServer&) = delete;
 
-  /// Binds, listens, and starts the acceptor and per-shard pump threads.
+  /// Binds, listens, and starts the per-shard pump threads and the first
+  /// reader worker.
   Status Start();
 
   /// Bound port (valid after Start; resolves an ephemeral bind).
@@ -230,16 +248,11 @@ class FrameServer {
   struct Connection {
     uint64_t id = 0;
     Socket socket;
-    std::thread reader;
     /// Serializes socket writes (replies). A nested struct cannot
-    /// name the owning server's mu_ in a GUARDED_BY, so the two fields
-    /// below carry their discipline as comments; the enclosing class's
+    /// name the owning server's mu_ in a GUARDED_BY, so the field below
+    /// carries its discipline as a comment; the enclosing class's
     /// annotated methods are where the analysis enforces it.
     Mutex write_mu;
-    /// Set once `reader` holds the thread: the reaper skips the connection
-    /// until then. Guarded by FrameServer::mu_.
-    bool reader_assigned = false;
-    bool reader_done = false;  ///< guarded by FrameServer::mu_
     /// Queued-but-unabsorbed DATA (inline frames never count); mu_.
     uint64_t data_inflight = 0;
     size_t next_shard = 0;     ///< connection-local round-robin cursor
@@ -316,11 +329,19 @@ class FrameServer {
   /// clients may not send (a second HELLO, any server→client frame).
   static const FrameRoute* RouteFor(NetFrameType type);
 
-  void AcceptLoop();
+  /// A reader worker: accept, register, ReaderLoop, repeat, until the
+  /// server stops, the listener dies or the worker retires as idle.
+  void ReaderWorker(uint64_t backoff_seed);
+  /// Starts one more reader worker, counted as accepting from the start.
+  void SpawnWorker() LDPJS_REQUIRES(mu_);
+  /// Moves the calling worker's own handle to retired_workers_ as it exits.
+  void RetireWorker() LDPJS_REQUIRES(mu_);
   /// The HELLO handshake, read through the connection's `reader`. Returns
   /// whether the session is open; on a refusal the peer has been sent
   /// ERROR and its socket is shut down.
   bool OpenSession(Connection& conn, FrameReader& reader);
+  /// Serves one registered connection to its end, then unregisters it:
+  /// its final counters become a departed_ row.
   void ReaderLoop(Connection* conn);
   void PumpLoop(size_t shard);
   /// The one absorb routine, run by a shard's pump for a queued frame and
@@ -359,8 +380,6 @@ class FrameServer {
   /// latency is the conservative (worst) one across a publish interval.
   void NoteAbsorbedTrace(const TraceContext& trace);
   void RecordQueryOutcome(size_t kind_index, uint64_t start_ns, bool rejected);
-  bool AllReadersDone() const LDPJS_REQUIRES(mu_);
-  void ReapFinishedConnections() LDPJS_EXCLUDES(mu_);
   ConnectionMetrics SnapshotConnection(const Connection& conn) const;
   /// Writes one reply frame under the connection's write lock. A failed
   /// write (the peer stopped reading or vanished) shuts the socket down and
@@ -392,17 +411,25 @@ class FrameServer {
 
   Socket listener_;
   uint16_t port_ = 0;
-  std::thread acceptor_;
 
   mutable Mutex mu_;
   CondVar space_cv_;     ///< readers wait for queue space
   CondVar drain_cv_;     ///< waits for inflight==0 / readers
   CondVar finalize_cv_;
-  /// Live connections only: once a connection's reader has exited and its
-  /// in-flight frames are absorbed, it is reaped (thread joined, counters
-  /// folded into departed_) — server memory does not grow with the total
-  /// number of clients ever served.
-  std::vector<std::unique_ptr<Connection>> connections_ LDPJS_GUARDED_BY(mu_);
+  /// Every running reader worker's handle. Once stopping_ is set no worker
+  /// spawns or retires, so Stop() owns both lists.
+  std::vector<std::thread> workers_ LDPJS_GUARDED_BY(mu_);
+  /// Handles of workers that exited while the server ran, joined outside
+  /// mu_ by the next worker to return to accept(), or by Stop().
+  std::vector<std::thread> retired_workers_ LDPJS_GUARDED_BY(mu_);
+  /// Workers in accept() (or backing off to retry it).
+  size_t accepting_workers_ LDPJS_GUARDED_BY(mu_) = 0;
+  uint64_t workers_spawned_ LDPJS_GUARDED_BY(mu_) = 0;  ///< backoff seeds
+  /// Live connections only, each owned by the worker that reads it: when
+  /// its session ends and its in-flight frames are absorbed, the worker
+  /// unregisters it and folds its counters into departed_, so server
+  /// memory does not grow with the total number of clients ever served.
+  std::vector<Connection*> connections_ LDPJS_GUARDED_BY(mu_);
   /// Final per-conn snapshots, newest last. Bounded: once it exceeds
   /// kMaxDepartedRows the oldest rows are folded into departed_folded_ —
   /// a reconnect storm grows counters, never memory.
@@ -460,7 +487,7 @@ class FrameServer {
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> handshakes_rejected_{0};
   std::atomic<uint64_t> accept_failures_{0};      ///< transient, retried
-  std::atomic<uint64_t> accept_fatal_{0};         ///< acceptor stopped
+  std::atomic<uint64_t> accept_fatal_{0};         ///< listener dead
   std::atomic<uint64_t> idle_reaped_{0};          ///< hung clients cut
   std::atomic<uint64_t> accept_backoff_micros_{0};
 };

@@ -16,7 +16,7 @@ namespace ldpjs {
 /// Per-connection counters (one row per connection ever accepted).
 struct ConnectionMetrics {
   uint64_t id = 0;
-  bool active = false;                   ///< reader thread still running
+  bool active = false;                   ///< session still being read
   uint64_t frames_received = 0;          ///< well-formed transport frames
   uint64_t bytes_received = 0;           ///< transport bytes (header+payload)
   uint64_t reports_ingested = 0;         ///< reports absorbed into lanes
@@ -66,8 +66,13 @@ struct NetMetrics {
   uint64_t epochs_applied = 0;
   uint64_t epoch_duplicates_ignored = 0;
   // Robustness counters.
-  uint64_t accept_failures = 0;     ///< transient accept errors (retried)
-  uint64_t accept_fatal = 0;        ///< fatal accept errors (acceptor stops)
+  /// Failed accepts retried after a backoff: aborted handshakes, buffer
+  /// pressure, and a full fd table (EMFILE/ENFILE), which frees up as
+  /// connections close.
+  uint64_t accept_failures = 0;
+  /// Accepts that found the listener closed or no longer listening
+  /// outside Stop(); each one ends that reader worker's accepting.
+  uint64_t accept_fatal = 0;
   uint64_t idle_reaped = 0;         ///< connections closed by idle deadline
   uint64_t connections_folded = 0;  ///< departed rows folded into totals
   uint64_t retries_attempted = 0;   ///< wire retries (accepts + ships)

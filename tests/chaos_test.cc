@@ -7,8 +7,17 @@
 // estimate — full-history and windowed — stays bit-identical to a
 // single node absorbing every report, and the same fault seed replays
 // the same faults and the same counters, bit-exactly.
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <span>
 #include <string>
@@ -21,6 +30,7 @@
 #include "common/crc32c.h"
 #include "common/fault_injector.h"
 #include "common/random.h"
+#include "common/socket.h"
 #include "core/ldp_join_sketch.h"
 #include "federation/central_node.h"
 #include "federation/chaos_harness.h"
@@ -419,9 +429,93 @@ TEST(ChaosScenarioTest, ReconnectStormKeepsDepartedTableBounded) {
   EXPECT_GE(frames, metrics.connections.size());
 }
 
+/// The fd-exhaustion scenario, run in a death-test child because
+/// RLIMIT_NOFILE is process-wide. Returns what went wrong, or "" when the
+/// server counted the failed accepts as transient and served a new session
+/// once descriptors were free again.
+std::string AcceptAgainAfterFdExhaustion() {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  FrameServer server(params, epsilon, FrameServerOptions{});
+  if (!server.Start().ok()) return "server did not start";
+  {
+    // One session and one metrics read while descriptors are plentiful.
+    // UBSan checks a virtual call the first time it sees the object's type
+    // by writing the vtable into a pipe, so with no fd left it reports a
+    // false "does not point to an object" (e.g. on a worker's first start).
+    auto warm = FrameSender::Connect("127.0.0.1", server.port(), params,
+                                     epsilon);
+    if (!warm.ok() || !warm->Finish().ok()) return "warm-up session failed";
+  }
+  NetMetrics metrics = server.metrics();
+  // Cap the fd table a little above what is open, then fill it.
+  int highest_fd = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    highest_fd =
+        std::max(highest_fd, std::stoi(entry.path().filename().string()));
+  }
+  rlimit limit{};
+  if (getrlimit(RLIMIT_NOFILE, &limit) != 0) return "getrlimit failed";
+  limit.rlim_cur = static_cast<rlim_t>(highest_fd) + 16;
+  if (setrlimit(RLIMIT_NOFILE, &limit) != 0) return "setrlimit failed";
+  std::vector<int> fillers;
+  int fd;
+  while ((fd = open("/dev/null", O_RDONLY)) >= 0) fillers.push_back(fd);
+  if (errno != EMFILE) return std::string("fill: ") + std::strerror(errno);
+  // Linux reserves a descriptor before accept() blocks, so each idle worker
+  // still accepts one client. Free one descriptor per client until the
+  // reservations are spent and an accept() finds the table full.
+  std::vector<Socket> clients;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (metrics.accept_failures == 0 && metrics.accept_fatal == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    if (clients.size() <= FrameServer::kMaxIdleWorkers && !fillers.empty()) {
+      close(fillers.back());
+      fillers.pop_back();
+      auto client = Socket::ConnectTcp("127.0.0.1", server.port());
+      if (!client.ok()) return "connect: " + client.status().ToString();
+      clients.push_back(std::move(*client));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    metrics = server.metrics();
+  }
+  if (metrics.accept_fatal != 0) return "a full fd table ended accepting";
+  if (metrics.accept_failures == 0) return "no failed accept was counted";
+  for (int filler : fillers) close(filler);
+  // The backing-off worker retries within the 200 ms backoff cap.
+  FrameSender::Options sender_options;
+  sender_options.recv_timeout_seconds = 2;
+  auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
+                                     epsilon, sender_options);
+  if (!sender.ok()) return "HELLO after the fds freed: " +
+                           sender.status().ToString();
+  if (!sender->Finish().ok()) return "BYE after the fds freed failed";
+  server.Stop();
+  return server.metrics().accept_fatal == 0 ? "" : "accept_fatal counted";
+}
+
+// A full fd table fails accept() at once. It is transient: the server
+// backs off, retries, and serves new sessions once descriptors free up.
+TEST(ChaosScenarioTest, ReaderWorkersAcceptAgainAfterFdExhaustion) {
+  // The child re-executes this binary instead of forking a process that
+  // already runs threads (the ThreadSanitizer job refuses the latter).
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const std::string error = AcceptAgainAfterFdExhaustion();
+        std::fprintf(stderr, "%s\n", error.c_str());
+        std::exit(error.empty() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = style;
+}
+
 // The idle-connection watchdog: a client that completes the handshake
 // and then goes silent is reaped within the configured deadline — its
-// fd and reader thread reclaimed, the reap counted.
+// fd closed and its reader freed, the reap counted.
 TEST(ChaosScenarioTest, HungClientReapedWithinIdleDeadline) {
   const SketchParams params = TestParams();
   const double epsilon = 2.0;

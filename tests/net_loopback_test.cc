@@ -5,8 +5,13 @@
 // envelope, params mismatch, or mid-stream disconnect can crash the server
 // (these tests run under the CI ASan/UBSan job); each is counted in the
 // metrics instead.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <iterator>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -549,6 +554,169 @@ TEST(NetLoopbackTest, ManyConcurrentSendersMergeExactly) {
   direct.Finalize();
   EXPECT_EQ(server.Finalize().Serialize(), direct.Serialize());
   EXPECT_EQ(server.metrics().reports_ingested, kSenders * kPerSender);
+}
+
+/// The ids of this process's live threads, read from /proc/self/task.
+std::set<int> LiveThreadIds() {
+  std::set<int> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(std::stoi(entry.path().filename().string()));
+  }
+  return ids;
+}
+
+/// Waits up to 5 s for the live thread count to fall to `limit`; returns
+/// the last count read.
+size_t WaitForThreadsAtMost(size_t limit) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  size_t live = LiveThreadIds().size();
+  while (live > limit && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    live = LiveThreadIds().size();
+  }
+  return live;
+}
+
+// Sessions are read by reader workers that accept their own connections
+// and go back to accept() when a session ends: back-to-back sessions reuse
+// the same few threads instead of spawning and joining one each.
+TEST(NetLoopbackTest, ReaderWorkersServeSequentialSessionsWithoutSpawning) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  FrameServerOptions options;
+  options.num_shards = 2;
+  const std::set<int> before = LiveThreadIds();
+  const size_t allowed =
+      options.num_shards + FrameServer::kMaxIdleWorkers + 1;
+  FrameServer server(params, epsilon, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kSessions = 200;
+  std::set<int> spawned;  // every server thread seen while a session is open
+  for (int i = 0; i < kSessions; ++i) {
+    auto sender =
+        FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok()) << sender.status().ToString();
+    const std::set<int> live = LiveThreadIds();
+    std::set_difference(live.begin(), live.end(), before.begin(),
+                        before.end(), std::inserter(spawned, spawned.end()));
+    ASSERT_LE(live.size(), before.size() + allowed) << "session " << i;
+    ASSERT_TRUE(sender->Finish().ok());
+  }
+  // A thread per session would show as one new id per session.
+  EXPECT_LE(spawned.size(), allowed);
+  server.Stop();
+  EXPECT_EQ(LiveThreadIds(), before);  // every worker joined
+  const NetMetrics metrics = server.metrics();
+  EXPECT_EQ(metrics.connections_accepted, static_cast<uint64_t>(kSessions));
+  EXPECT_EQ(metrics.connections_active, 0u);
+  EXPECT_EQ(metrics.frames_received, static_cast<uint64_t>(kSessions));
+}
+
+// Every live connection still has its own blocking reader: 32 sessions held
+// open at once are all served. Once they close, the workers above the idle
+// bound retire, and Stop joins the rest along with the retired ones.
+TEST(NetLoopbackTest, ReaderWorkersServeHeldOpenSessionsThenShrink) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  LdpJoinSketchClient client(params, epsilon);
+  constexpr size_t kSessions = 32;
+  std::vector<std::vector<LdpReport>> partitions;
+  for (size_t s = 0; s < kSessions; ++s) {
+    partitions.push_back(PerturbColumn(client, 300, 200 + s));
+  }
+  FrameServerOptions options;
+  options.num_shards = 2;
+  const size_t before = LiveThreadIds().size();
+  FrameServer server(params, epsilon, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<FrameSender> senders;
+  for (size_t s = 0; s < kSessions; ++s) {
+    auto sender =
+        FrameSender::Connect("127.0.0.1", server.port(), params, epsilon);
+    ASSERT_TRUE(sender.ok()) << s << ": " << sender.status().ToString();
+    ASSERT_TRUE(sender->SendReports(partitions[s]).ok());
+    senders.push_back(std::move(*sender));
+  }
+  // PING_OK on every session while all of them stay open: each one is
+  // being read, and everything it sent is in the lanes.
+  for (FrameSender& sender : senders) ASSERT_TRUE(sender.Ping().ok());
+  EXPECT_EQ(server.metrics().connections_active, kSessions);
+  EXPECT_GE(LiveThreadIds().size(), before + options.num_shards + kSessions);
+  for (FrameSender& sender : senders) ASSERT_TRUE(sender.Finish().ok());
+  EXPECT_LE(WaitForThreadsAtMost(before + options.num_shards +
+                                 FrameServer::kMaxIdleWorkers),
+            before + options.num_shards + FrameServer::kMaxIdleWorkers);
+  server.Stop();
+  EXPECT_EQ(LiveThreadIds().size(), before);
+
+  LdpJoinSketchServer direct(params, epsilon);
+  for (const auto& partition : partitions) direct.AbsorbBatch(partition);
+  direct.Finalize();
+  EXPECT_EQ(server.Finalize().Serialize(), direct.Serialize());
+  EXPECT_EQ(server.metrics().reports_ingested, kSessions * 300);
+}
+
+// Stop() while a client reconnects in a loop: Stop returns, every worker is
+// joined, and every session that read BYE_OK is in the lanes. Only the
+// session Stop cut may or may not have landed its one DATA frame.
+TEST(NetLoopbackTest, ReaderWorkersStopDuringConnectLoopLosesNoAckedReports) {
+  const SketchParams params = TestParams();
+  const double epsilon = 2.0;
+  LdpJoinSketchClient client(params, epsilon);
+  FrameServerOptions options;
+  options.num_shards = 2;
+  const size_t before = LiveThreadIds().size();
+  FrameServer server(params, epsilon, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::atomic<int> acked_sessions{0};
+  std::atomic<bool> loop_ended{false};
+  std::vector<LdpReport> acked;
+  std::vector<LdpReport> cut;  // the last session, if Stop cut it
+  auto connect_loop = [&] {
+    FrameSender::Options sender_options;
+    sender_options.recv_timeout_seconds = 5;  // a hang fails, not stalls
+    for (uint64_t i = 0;; ++i) {
+      const std::vector<LdpReport> batch = PerturbColumn(client, 64, 500 + i);
+      auto sender = FrameSender::Connect("127.0.0.1", server.port(), params,
+                                         epsilon, sender_options);
+      if (!sender.ok()) return;
+      if (!sender->SendReports(batch).ok() || !sender->Finish().ok()) {
+        cut = batch;
+        return;
+      }
+      acked.insert(acked.end(), batch.begin(), batch.end());
+      acked_sessions.fetch_add(1);
+    }
+  };
+  std::thread loop([&] {
+    connect_loop();
+    loop_ended.store(true);
+  });
+  while (acked_sessions.load() < 50 && !loop_ended.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_FALSE(loop_ended.load()) << "the loop failed before Stop";
+  const auto stop_start = std::chrono::steady_clock::now();
+  server.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - stop_start,
+            std::chrono::seconds(5));
+  loop.join();
+  EXPECT_EQ(LiveThreadIds().size(), before);
+
+  const uint64_t ingested = server.metrics().reports_ingested;
+  LdpJoinSketchServer direct(params, epsilon);
+  direct.AbsorbBatch(acked);
+  if (ingested != acked.size()) {
+    ASSERT_EQ(ingested, acked.size() + cut.size());
+    direct.AbsorbBatch(cut);
+  }
+  direct.Finalize();
+  EXPECT_EQ(server.Finalize().Serialize(), direct.Serialize());
 }
 
 }  // namespace
